@@ -454,13 +454,6 @@ impl AdmissionEngine {
                 deadline: m.deadline,
             })
             .collect();
-        // The engine's incremental re-analysis rebuilds the same per-port
-        // aggregates across queries, so the thread-local curve cache pays
-        // off for the whole engine lifetime.  An engine later moved to a
-        // thread without a cache silently computes uncached — same results,
-        // no hits — because the cached operators fall through when the
-        // thread-local is unset.
-        netcalc::cache::enable_thread_cache();
         let mut engine = AdmissionEngine {
             config: *config,
             approach,
@@ -550,9 +543,9 @@ impl AdmissionEngine {
         &self.stats
     }
 
-    /// Min-plus operator invocations and curve-cache traffic since this
-    /// engine was built (delta of the process-global counters; engines
-    /// sharing a process fold together).
+    /// Min-plus operator invocations since this engine was built (delta of
+    /// the process-global counters; engines sharing a process fold
+    /// together).
     pub fn minplus_ops(&self) -> netcalc::cache::OpCounters {
         netcalc::cache::OpCounters::snapshot().delta_since(&self.ops_at_start)
     }

@@ -2240,8 +2240,8 @@ pub struct KernelBench {
 /// Result of experiment E17 — the sorted-merge min-plus kernels: ns/op old
 /// vs new per operator at campaign-typical breakpoint counts, breakpoint
 /// growth along a multi-hop chain with and without horizon truncation, and
-/// the end-to-end sharded campaign with the curve cache live (hit rate and
-/// op counters from the run's own [`campaign::RuntimeStats`]).
+/// the end-to-end sharded campaign (op counters from the run's own
+/// [`campaign::RuntimeStats`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct MinplusKernelsReport {
     /// Timing iterations per operator pair.
@@ -2276,10 +2276,8 @@ pub struct MinplusKernelsReport {
     pub campaign_fingerprint: String,
     /// Bound violations across the campaign (zero expected).
     pub soundness_violations: usize,
-    /// Min-plus operator and curve-cache counters of the campaign run.
+    /// Min-plus operator counters of the campaign run.
     pub campaign_ops: netcalc::cache::OpCounters,
-    /// Curve-cache hit rate of the campaign run in `[0, 1]`.
-    pub cache_hit_rate: f64,
 }
 
 /// A deterministic family of staircase arrival envelopes shaped like the
@@ -2307,7 +2305,7 @@ fn time_ns_per_op(iterations: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// E17: old-vs-new min-plus kernel throughput, truncation behaviour and
-/// the cache-enabled end-to-end campaign.
+/// the end-to-end sharded campaign.
 pub fn minplus_kernels(config: MinplusKernelsConfig) -> MinplusKernelsReport {
     use netcalc::{minplus, minplus::reference, ArrivalBound, Curve};
     let MinplusKernelsConfig {
@@ -2471,9 +2469,8 @@ pub fn minplus_kernels(config: MinplusKernelsConfig) -> MinplusKernelsReport {
         chain_breakpoints_truncated.push(acc_truncated.points().len());
     }
 
-    // End-to-end: the sharded streaming campaign with the curve cache
-    // enabled on every shard worker (same configuration as E16, so the
-    // scenarios/sec figures compare directly).
+    // End-to-end: the sharded streaming campaign (same configuration as
+    // E16, so the scenarios/sec figures compare directly).
     let sharded = campaign::run_sharded_campaign(&campaign::ShardedCampaignConfig {
         base: campaign::CampaignConfig {
             scenarios,
@@ -2489,7 +2486,6 @@ pub fn minplus_kernels(config: MinplusKernelsConfig) -> MinplusKernelsReport {
         resume: false,
     })
     .expect("in-memory sharded run cannot fail");
-    let ops = sharded.runtime.ops;
 
     MinplusKernelsReport {
         iterations,
@@ -2506,8 +2502,7 @@ pub fn minplus_kernels(config: MinplusKernelsConfig) -> MinplusKernelsReport {
         campaign_scenarios_per_sec: sharded.runtime.scenarios_per_sec,
         campaign_fingerprint: format!("{:#018x}", sharded.outcome.fingerprint),
         soundness_violations: sharded.outcome.summary.violations.len(),
-        campaign_ops: ops,
-        cache_hit_rate: ops.cache_hit_rate(),
+        campaign_ops: sharded.runtime.ops,
     }
 }
 
@@ -2551,16 +2546,8 @@ pub fn render_minplus_kernels(report: &MinplusKernelsReport) -> String {
         report.soundness_violations,
     ));
     out.push_str(&format!(
-        "min-plus ops: {} convolve | {} deconvolve | {} leftover | {} add | {} sub_envelope | \
-         cache {:.1}% hit ({} / {})\n",
-        ops.convolve,
-        ops.deconvolve,
-        ops.leftover,
-        ops.add,
-        ops.sub_envelope,
-        report.cache_hit_rate * 100.0,
-        ops.cache_hits,
-        ops.cache_hits + ops.cache_misses,
+        "min-plus ops: {} convolve | {} deconvolve | {} leftover | {} add | {} sub_envelope\n",
+        ops.convolve, ops.deconvolve, ops.leftover, ops.add, ops.sub_envelope,
     ));
     if report.kernel_mismatches > 0 {
         out.push_str(&format!(

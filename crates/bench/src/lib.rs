@@ -24,7 +24,7 @@
 //! | E14 | fault injection — degraded-mode bound inflation ladder | [`experiments::fault_inflation`] |
 //! | E15 | campaign scale — sharded streaming throughput, peak RSS, arena min-plus microbenchmark | [`experiments::campaign_scale`] |
 //! | E16 | DES substrate — radix-queue vs binary-heap hot loop, allocs/event, campaign throughput | [`experiments::sim_hot_loop`] |
-//! | E17 | min-plus kernels — sorted-merge vs candidate-enumeration ns/op, horizon truncation, curve-cache hit rate | [`experiments::minplus_kernels`] |
+//! | E17 | min-plus kernels — sorted-merge vs candidate-enumeration ns/op, horizon truncation, campaign throughput | [`experiments::minplus_kernels`] |
 
 pub mod experiments;
 

@@ -166,9 +166,9 @@ pub struct RuntimeStats {
     pub elapsed_secs: f64,
     /// Scenarios per wall-clock second.
     pub scenarios_per_sec: f64,
-    /// Min-plus operator invocations and curve-cache traffic during this
-    /// run (delta of the process-global counters, so concurrent campaigns
-    /// in one process would fold together — the CLI runs one at a time).
+    /// Min-plus operator invocations during this run (delta of the
+    /// process-global counters, so concurrent campaigns in one process
+    /// would fold together — the CLI runs one at a time).
     pub ops: netcalc::cache::OpCounters,
 }
 
@@ -407,21 +407,15 @@ pub fn run_campaign(config: CampaignConfig) -> CampaignReport {
             let sender = sender.clone();
             let next = &next;
             let scenarios = &scenarios;
-            scope.spawn(move || {
-                // Scenarios from one ScenarioSpace rebuild identical
-                // per-port aggregates; the content-addressed curve cache
-                // memoizes them for the lifetime of this worker.
-                netcalc::cache::enable_thread_cache();
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(scenario) = scenarios.get(index).copied() else {
-                        break;
-                    };
-                    let result =
-                        execute_scenario_with(scenario, config.with_1553, config.envelope_override);
-                    if sender.send((worker, result)).is_err() {
-                        break;
-                    }
+            scope.spawn(move || loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(scenario) = scenarios.get(index).copied() else {
+                    break;
+                };
+                let result =
+                    execute_scenario_with(scenario, config.with_1553, config.envelope_override);
+                if sender.send((worker, result)).is_err() {
+                    break;
                 }
             });
         }

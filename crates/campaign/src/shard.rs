@@ -795,21 +795,15 @@ fn execute_shard(
         for worker in 0..workers {
             let sender = sender.clone();
             let next = &next;
-            scope.spawn(move || {
-                // Shard-scoped curve cache: the worker thread dies when the
-                // shard completes, taking the memo table with it, so cache
-                // lifetime equals shard lifetime by construction.
-                netcalc::cache::enable_thread_cache();
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(scenario) = slice.get(index).copied() else {
-                        break;
-                    };
-                    let result =
-                        execute_scenario_with(scenario, config.with_1553, config.envelope_override);
-                    if sender.send((worker, result)).is_err() {
-                        break;
-                    }
+            scope.spawn(move || loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(scenario) = slice.get(index).copied() else {
+                    break;
+                };
+                let result =
+                    execute_scenario_with(scenario, config.with_1553, config.envelope_override);
+                if sender.send((worker, result)).is_err() {
+                    break;
                 }
             });
         }

@@ -1,6 +1,6 @@
 //! End-to-end composition over the paper's architecture.
 
-use crate::analysis::stage::{analyze_stage, StageFlow};
+use crate::analysis::stage::{analyze_stage, class_aggregates, StageFlow};
 use crate::analysis::Approach;
 use crate::config::NetworkConfig;
 use crate::verdict::ClassSummary;
@@ -173,13 +173,18 @@ pub fn analyze_with_envelope(
         if flows.is_empty() {
             continue;
         }
-        let bounds =
-            analyze_stage(&flows, &policy, config.link_rate, Duration::ZERO).map_err(|source| {
-                AnalysisError::Stage {
-                    stage: format!("station {} ({}) uplink", station.id, station.name),
-                    source,
-                }
-            })?;
+        let aggregates = class_aggregates(&flows, &policy);
+        let bounds = analyze_stage(
+            &flows,
+            &aggregates,
+            &policy,
+            config.link_rate,
+            Duration::ZERO,
+        )
+        .map_err(|source| AnalysisError::Stage {
+            stage: format!("station {} ({}) uplink", station.id, station.name),
+            source,
+        })?;
         for (message, bound) in bounds {
             stage1.insert(message, (bound.delay, bound.output));
         }
@@ -207,13 +212,18 @@ pub fn analyze_with_envelope(
         if flows.is_empty() {
             continue;
         }
-        let bounds =
-            analyze_stage(&flows, &policy, config.link_rate, config.ttechno).map_err(|source| {
-                AnalysisError::Stage {
-                    stage: format!("switch port to {} ({})", station.id, station.name),
-                    source,
-                }
-            })?;
+        let aggregates = class_aggregates(&flows, &policy);
+        let bounds = analyze_stage(
+            &flows,
+            &aggregates,
+            &policy,
+            config.link_rate,
+            config.ttechno,
+        )
+        .map_err(|source| AnalysisError::Stage {
+            stage: format!("switch port to {} ({})", station.id, station.name),
+            source,
+        })?;
         for (message, bound) in bounds {
             stage2.insert(message, bound.delay);
         }

@@ -1,5 +1,5 @@
-//! Cache-aware per-port analysis: everything the multi-hop walk derives at
-//! one output port, behind one entry point.
+//! Per-port analysis: everything the multi-hop walk derives at one output
+//! port, behind one entry point.
 //!
 //! [`analyze_multi_hop_with`](crate::analyze_multi_hop_with) visits every
 //! port of the fabric exactly once, in topological order, and derives the
@@ -9,6 +9,10 @@
 //! depend only on the ordered set of flows crossing the port and their
 //! arrival envelopes at that port, never on global analysis state.
 //!
+//! The port's arrival curves are aggregated exactly once
+//! ([`class_aggregates`]): the stage bound and the left-over curves both
+//! read those per-class aggregates instead of re-folding them.
+//!
 //! [`analyze_port`] packages that port-local computation as a reusable unit
 //! so incremental callers (the `admission` engine's per-port curve cache)
 //! run the *same code path* as the from-scratch analysis — equivalence of
@@ -16,12 +20,11 @@
 //! than by parallel maintenance of two implementations.
 
 use crate::analysis::end_to_end::AnalysisError;
-use crate::analysis::stage::{analyze_stage, mux_for_policy, StageFlow};
+use crate::analysis::stage::{analyze_stage, class_aggregates, mux_for_policy, StageFlow};
 use crate::config::NetworkConfig;
 use ethernet::SchedulingPolicy;
 use netcalc::{
-    arena, cache, delay_bound, ArrivalBound, Curve, Envelope, EnvelopeModel, NcError, RateLatency,
-    TokenBucket,
+    arena, delay_bound, Curve, Envelope, EnvelopeModel, NcError, RateLatency, TokenBucket,
 };
 use units::Duration;
 use workload::MessageId;
@@ -85,14 +88,17 @@ pub fn analyze_port(
         stage: port_name.to_string(),
         source,
     };
-    let stage_bounds = analyze_stage(flows, policy, config.link_rate, ttechno).map_err(&stage)?;
+    let aggregates = class_aggregates(flows, policy);
+    let stage_bounds =
+        analyze_stage(flows, &aggregates, policy, config.link_rate, ttechno).map_err(&stage)?;
     // The general left-over curves of this port, one per flow (staircase
     // model only; the token-bucket model keeps the closed-form path).
     let port_curves = match model {
         EnvelopeModel::TokenBucket => None,
-        EnvelopeModel::Staircase => {
-            Some(leftover_curves_for_port(flows, policy, config, ttechno, model).map_err(&stage)?)
-        }
+        EnvelopeModel::Staircase => Some(
+            leftover_curves_for_port(flows, &aggregates, policy, config, ttechno)
+                .map_err(&stage)?,
+        ),
     };
 
     let mut results = Vec::with_capacity(flows.len());
@@ -248,27 +254,6 @@ pub fn leftover_service(
     base.leftover(&cross)
 }
 
-/// The curve-cache context word for a port analysed under `policy` and
-/// `model`: low byte the scheduling-policy arm (0 FCFS, 1 strict priority,
-/// 2 WRR), second byte the envelope model (0 token bucket, 1 staircase).
-///
-/// The cache key already contains the operator tag and both operands' full
-/// bit patterns — which determine the result — so the context word is pure
-/// disambiguation: curves that coincide across analysis regimes never share
-/// an entry, keeping every regime's hit path trivially auditable.
-pub(crate) fn cache_ctx(policy: &SchedulingPolicy, model: EnvelopeModel) -> u64 {
-    let arm: u64 = match policy {
-        SchedulingPolicy::Fcfs => 0,
-        SchedulingPolicy::StrictPriority { .. } => 1,
-        SchedulingPolicy::Wrr { .. } => 2,
-    };
-    let model: u64 = match model {
-        EnvelopeModel::TokenBucket => 0,
-        EnvelopeModel::Staircase => 1,
-    };
-    arm | (model << 8)
-}
-
 /// The general left-over service **curves** of every flow at a port
 /// ([`netcalc::minplus::leftover`]): the same blind-multiplexing construction as
 /// [`leftover_service`], but against the cross traffic's full
@@ -276,100 +261,60 @@ pub(crate) fn cache_ctx(policy: &SchedulingPolicy, model: EnvelopeModel) -> u64 
 /// token-bucket summaries — the cross traffic's flat steps let the residual
 /// service recover faster, so the served flow's deviation can only shrink.
 ///
-/// Batched per port: the aggregate arrival curve of each priority prefix is
-/// built once and each flow's cross traffic is recovered by subtracting its
-/// own envelope ([`Curve::sub_envelope`]), turning the per-port cost from
-/// quadratic to linear in the flow count.
+/// Batched per port: each flow's cross traffic is its class aggregate
+/// (`aggregates`, the port's [`class_aggregates`]) minus its own envelope
+/// ([`Curve::sub_envelope`]), turning the per-port cost from quadratic to
+/// linear in the flow count.  Where a class carries no extra constraint
+/// its aggregate curve is the summed token bucket, bitwise the sum of the
+/// members' affine curves.
 pub fn leftover_curves_for_port(
     flows: &[StageFlow],
+    aggregates: &[Envelope],
     policy: &SchedulingPolicy,
     config: &NetworkConfig,
     ttechno: Duration,
-    model: EnvelopeModel,
 ) -> Result<Vec<Curve>, NcError> {
     use netcalc::ServiceBound;
-    let ctx = cache_ctx(policy, model);
     let levels = policy.queue_count();
-    let clamp = |p: usize| p.min(levels.saturating_sub(1));
-    match policy {
-        SchedulingPolicy::Fcfs => {
-            let full = Envelope::aggregate_all(flows.iter().map(|f| &f.envelope)).curve();
-            let base = RateLatency::new(config.link_rate, ttechno).curve();
-            flows
-                .iter()
-                .map(|f| {
-                    let cross = cache::sub_envelope(ctx, &full, &f.envelope.effective_curve());
-                    cache::leftover(ctx, &base, &cross)
-                })
-                .collect()
-        }
+    let clamp = |p: usize| p.min(levels - 1);
+    // The residual service each class is blind-multiplexed on.
+    let bases: Vec<Curve> = match policy {
+        SchedulingPolicy::Fcfs => vec![RateLatency::new(config.link_rate, ttechno).curve()],
         SchedulingPolicy::StrictPriority { .. } => {
-            // Aggregate arrival curve of levels ≤ p, one prefix per level.
-            let mut prefixes: Vec<Curve> = Vec::with_capacity(levels);
-            let mut acc = netcalc::Curve::zero();
-            for p in 0..levels {
-                for f in flows.iter().filter(|f| clamp(f.priority) == p) {
-                    acc = cache::add(ctx, &acc, &f.envelope.effective_curve());
-                }
-                prefixes.push(acc.clone());
-            }
             // Largest lower-priority frame that can block level p.
-            let blocking: Vec<units::DataSize> = (0..levels)
+            (0..levels)
                 .map(|p| {
-                    flows
+                    let blocking = flows
                         .iter()
                         .filter(|f| clamp(f.priority) > p)
                         .map(|f| f.envelope.burst())
-                        .fold(units::DataSize::ZERO, units::DataSize::max)
-                })
-                .collect();
-            let bases: Vec<Curve> = (0..levels)
-                .map(|p| {
-                    RateLatency::new(
-                        config.link_rate,
-                        ttechno + config.link_rate.transmission_time(blocking[p]),
-                    )
-                    .curve()
-                })
-                .collect();
-            flows
-                .iter()
-                .map(|f| {
-                    let own = clamp(f.priority);
-                    let cross =
-                        cache::sub_envelope(ctx, &prefixes[own], &f.envelope.effective_curve());
-                    cache::leftover(ctx, &bases[own], &cross)
+                        .fold(units::DataSize::ZERO, units::DataSize::max);
+                    let latency = ttechno + config.link_rate.transmission_time(blocking);
+                    RateLatency::new(config.link_rate, latency).curve()
                 })
                 .collect()
         }
         SchedulingPolicy::Wrr { .. } => {
-            // Per-class quantum-share residual services, then the general
-            // blind-multiplexing left-over against the *same-class* cross
-            // traffic's full piecewise-linear envelopes.
+            // The quantum-share residual reads only frame sizes, quanta and
+            // class occupancy, so the mux gets token-bucket summaries.
             let mut mux = mux_for_policy(policy, config.link_rate, ttechno);
             for f in flows {
-                mux.add_flow(f.priority, f.envelope.clone(), f.frame)?;
+                mux.add_flow(f.priority, f.envelope.token_bucket(), f.frame)?;
             }
-            // Aggregate arrival curve of each class (classes without flows
-            // never get looked up).
-            let mut aggregates: Vec<Curve> = vec![netcalc::Curve::zero(); levels];
-            for f in flows {
-                let own = clamp(f.priority);
-                aggregates[own] = cache::add(ctx, &aggregates[own], &f.envelope.effective_curve());
-            }
-            let mut bases: Vec<Option<Curve>> = vec![None; levels];
-            flows
-                .iter()
-                .map(|f| {
-                    let own = clamp(f.priority);
-                    if bases[own].is_none() {
-                        bases[own] = Some(mux.residual_service(own)?.curve());
-                    }
-                    let cross =
-                        cache::sub_envelope(ctx, &aggregates[own], &f.envelope.effective_curve());
-                    cache::leftover(ctx, bases[own].as_ref().expect("just filled"), &cross)
-                })
-                .collect()
+            (0..levels)
+                .map(|p| mux.residual_service(p).map(|s| s.curve()))
+                .collect::<Result<_, _>>()?
         }
-    }
+    };
+    flows
+        .iter()
+        .map(|f| {
+            let own = clamp(f.priority);
+            let cross = arena::sub_envelope(
+                &aggregates[own].effective_curve(),
+                &f.envelope.effective_curve(),
+            );
+            arena::leftover(&bases[own], &cross)
+        })
+        .collect()
 }

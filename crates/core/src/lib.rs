@@ -66,7 +66,7 @@ pub use analysis::multi_hop::{
 pub use analysis::port::{
     analyze_port, leftover_curves_for_port, leftover_service, PortAnalysis, PortFlowAnalysis,
 };
-pub use analysis::stage::{analyze_stage, mux_for_policy, StageBound, StageFlow};
+pub use analysis::stage::{analyze_stage, class_aggregates, mux_for_policy, StageBound, StageFlow};
 pub use analysis::{Approach, PolicyArm};
 pub use compare1553::{
     analyze_1553, compare_bounds_1553, compare_with_1553, BaselineComparison, Bus1553Study,

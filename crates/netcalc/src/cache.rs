@@ -1,40 +1,14 @@
-//! Min-plus operation accounting and a content-addressed curve cache.
+//! Min-plus operation accounting.
 //!
-//! Two facilities live here, both feeding the campaign load report and the
-//! E17 kernel benchmark:
-//!
-//! 1. **Global op counters** — every arena free function records its
-//!    operator kind into a relaxed [`AtomicU64`]; [`OpCounters::snapshot`]
-//!    reads them all at once so a campaign shard can report the delta of
-//!    min-plus work it performed without re-profiling.
-//!
-//! 2. **A thread-local, opt-in [`CurveCache`]** — scenarios drawn from the
-//!    same `ScenarioSpace` repeatedly rebuild identical per-port aggregates,
-//!    so the expensive operators (`leftover`, `sub_envelope`, `add`,
-//!    `convolve`) are memoized under an FNV-1a content hash of
-//!    `(operator, context word, operand breakpoints, final slopes)`. The
-//!    context word carries the policy arm and envelope model so curves that
-//!    happen to collide across analysis regimes never share an entry. A
-//!    hash hit is verified against the full operand bit pattern before it is
-//!    served, which makes hash collisions harmless (they degrade to misses).
-//!
-//! The cache is scoped to the thread that enabled it: campaign shard workers
-//! call [`enable_thread_cache`] when they start and the cache dies with the
-//! scoped worker thread at shard end, which gives the "shard-scoped
-//! lifetime" of the design for free. Code that never opts in pays one
-//! thread-local check per cached operator and otherwise behaves identically
-//! — cached results are bitwise clones of what the underlying arena
-//! operator returns, including errors.
+//! Every arena free function records its operator kind into a relaxed
+//! [`AtomicU64`]; [`OpCounters::snapshot`] reads them all at once so a
+//! campaign shard (or the admission engine) can report the delta of
+//! min-plus work it performed without re-profiling.  The counters feed the
+//! campaign load report and the benchmark's per-operator ledger.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
-
-use crate::arena;
-use crate::curve::Curve;
-use crate::NcError;
 
 /// The operator kinds tracked by the global counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,13 +29,9 @@ pub enum OpKind {
     HorizontalDeviation,
     /// Vertical deviation (backlog bound).
     VerticalDeviation,
-    /// A curve-cache lookup that was served from the cache.
-    CacheHit,
-    /// A curve-cache lookup that fell through to the real operator.
-    CacheMiss,
 }
 
-const OP_KINDS: usize = 10;
+const OP_KINDS: usize = 8;
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
@@ -94,10 +64,6 @@ pub struct OpCounters {
     pub horizontal_deviation: u64,
     /// Vertical-deviation (backlog bound) evaluations performed.
     pub vertical_deviation: u64,
-    /// Curve-cache lookups served from the cache.
-    pub cache_hits: u64,
-    /// Curve-cache lookups that recomputed the operator.
-    pub cache_misses: u64,
 }
 
 impl OpCounters {
@@ -113,8 +79,6 @@ impl OpCounters {
             combine: load(OpKind::Combine),
             horizontal_deviation: load(OpKind::HorizontalDeviation),
             vertical_deviation: load(OpKind::VerticalDeviation),
-            cache_hits: load(OpKind::CacheHit),
-            cache_misses: load(OpKind::CacheMiss),
         }
     }
 
@@ -134,12 +98,10 @@ impl OpCounters {
             vertical_deviation: self
                 .vertical_deviation
                 .saturating_sub(earlier.vertical_deviation),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
         }
     }
 
-    /// Total min-plus operator invocations (cache bookkeeping excluded).
+    /// Total min-plus operator invocations.
     pub fn total_ops(&self) -> u64 {
         self.convolve
             + self.deconvolve
@@ -150,173 +112,20 @@ impl OpCounters {
             + self.horizontal_deviation
             + self.vertical_deviation
     }
-
-    /// Fraction of cache lookups served from the cache (0 when unused).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
-    }
 }
 
-/// Maximum number of memoized results per thread before the cache flushes.
+/// Does nothing.
 ///
-/// Campaign scenarios share a handful of per-port aggregates, so the working
-/// set is small; the cap exists to bound memory on adversarial workloads.
-/// Flushing (rather than evicting) keeps the bookkeeping trivial and cannot
-/// affect results — only hit rate.
-const CACHE_CAPACITY: usize = 1024;
-
-/// One verified cache entry: the full key material and the memoized result.
-struct Entry {
-    key: Box<[u64]>,
-    result: Result<Curve, NcError>,
-}
-
-/// A content-addressed memo table for binary min-plus operators.
-///
-/// Keys are the exact bit patterns of both operands plus an operator tag and
-/// a caller-supplied context word; values are whatever the underlying arena
-/// operator returned, errors included. See the module docs for the
-/// collision-handling and lifetime story.
-#[derive(Default)]
-pub struct CurveCache {
-    map: HashMap<u64, Vec<Entry>>,
-    len: usize,
-    key_buf: Vec<u64>,
-}
-
-impl CurveCache {
-    /// Serve `op(a, b)` from the cache or compute and memoize it.
-    fn get_or_insert(
-        &mut self,
-        op: OpKind,
-        ctx: u64,
-        a: &Curve,
-        b: &Curve,
-        compute: impl FnOnce(&Curve, &Curve) -> Result<Curve, NcError>,
-    ) -> Result<Curve, NcError> {
-        self.key_buf.clear();
-        self.key_buf.push(op as u64);
-        self.key_buf.push(ctx);
-        for curve in [a, b] {
-            self.key_buf.push(curve.points().len() as u64);
-            for &(x, y) in curve.points() {
-                self.key_buf.push(x.to_bits());
-                self.key_buf.push(y.to_bits());
-            }
-            self.key_buf.push(curve.final_slope().to_bits());
-        }
-        let hash = fnv1a(&self.key_buf);
-        if let Some(bucket) = self.map.get(&hash) {
-            if let Some(entry) = bucket.iter().find(|e| *e.key == *self.key_buf) {
-                record_op(OpKind::CacheHit);
-                return entry.result.clone();
-            }
-        }
-        record_op(OpKind::CacheMiss);
-        let result = compute(a, b);
-        if self.len >= CACHE_CAPACITY {
-            self.map.clear();
-            self.len = 0;
-        }
-        self.map.entry(hash).or_default().push(Entry {
-            key: self.key_buf.as_slice().into(),
-            result: result.clone(),
-        });
-        self.len += 1;
-        result
-    }
-}
-
-/// 64-bit FNV-1a over the key words, byte by byte.
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
-
-thread_local! {
-    static CACHE: RefCell<Option<CurveCache>> = const { RefCell::new(None) };
-}
-
-/// Enable the curve cache on the calling thread (fresh and empty).
-///
-/// Campaign shard workers call this on spawn; the cache dies with the
-/// thread, which scopes its lifetime to the shard.
-pub fn enable_thread_cache() {
-    CACHE.with(|slot| *slot.borrow_mut() = Some(CurveCache::default()));
-}
-
-/// Drop the calling thread's curve cache (no-op when none is enabled).
-pub fn disable_thread_cache() {
-    CACHE.with(|slot| *slot.borrow_mut() = None);
-}
-
-/// Whether the calling thread currently has a curve cache enabled.
-pub fn thread_cache_enabled() -> bool {
-    CACHE.with(|slot| slot.borrow().is_some())
-}
-
-/// Run `compute` through the thread cache when enabled, directly otherwise.
-fn with_cache(
-    op: OpKind,
-    ctx: u64,
-    a: &Curve,
-    b: &Curve,
-    compute: impl FnOnce(&Curve, &Curve) -> Result<Curve, NcError>,
-) -> Result<Curve, NcError> {
-    CACHE.with(|slot| match slot.borrow_mut().as_mut() {
-        Some(cache) => cache.get_or_insert(op, ctx, a, b, compute),
-        None => compute(a, b),
-    })
-}
-
-/// Memoizing [`arena::convolve`]; `ctx` disambiguates analysis regimes.
-pub fn convolve(ctx: u64, f: &Curve, g: &Curve) -> Curve {
-    with_cache(OpKind::Convolve, ctx, f, g, |f, g| {
-        Ok(arena::convolve(f, g))
-    })
-    .expect("convolve is infallible")
-}
-
-/// Memoizing [`arena::leftover`]; `ctx` disambiguates analysis regimes.
-pub fn leftover(ctx: u64, beta: &Curve, cross: &Curve) -> Result<Curve, NcError> {
-    with_cache(OpKind::Leftover, ctx, beta, cross, arena::leftover)
-}
-
-/// Memoizing [`arena::add`]; `ctx` disambiguates analysis regimes.
-pub fn add(ctx: u64, a: &Curve, b: &Curve) -> Curve {
-    with_cache(OpKind::Add, ctx, a, b, |a, b| Ok(arena::add(a, b))).expect("add is infallible")
-}
-
-/// Memoizing [`arena::sub_envelope`]; `ctx` disambiguates analysis regimes.
-pub fn sub_envelope(ctx: u64, a: &Curve, b: &Curve) -> Curve {
-    with_cache(OpKind::SubEnvelope, ctx, a, b, |a, b| {
-        Ok(arena::sub_envelope(a, b))
-    })
-    .expect("sub_envelope is infallible")
-}
+/// Min-plus results used to be memoized in a thread-local curve cache that
+/// callers switched on per worker thread.  Every operator is linear-time,
+/// and each port now aggregates its arrival curves exactly once, so the memo
+/// cost more than it saved and is gone; this entry point is kept only so
+/// existing callers still compile.
+pub fn enable_thread_cache() {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tb(burst: f64, rate: f64) -> Curve {
-        Curve::new(vec![(0.0, burst)], rate).expect("valid token bucket")
-    }
-
-    fn rl(rate: f64, latency: f64) -> Curve {
-        Curve::new(vec![(0.0, 0.0), (latency, 0.0)], rate).expect("valid rate-latency")
-    }
 
     #[test]
     fn counters_record_and_delta() {
@@ -328,62 +137,5 @@ mod tests {
         assert!(delta.convolve >= 2);
         assert!(delta.leftover >= 1);
         assert!(delta.total_ops() >= 3);
-    }
-
-    #[test]
-    fn cache_hit_returns_identical_result() {
-        enable_thread_cache();
-        let alpha = tb(1500.0 * 8.0, 1e6);
-        let beta = rl(10e6, 250e-6);
-        let before = OpCounters::snapshot();
-        let first = leftover(7, &beta, &alpha).expect("leftover ok");
-        let second = leftover(7, &beta, &alpha).expect("leftover ok");
-        let delta = OpCounters::snapshot().delta_since(&before);
-        assert_eq!(first.points(), second.points());
-        assert_eq!(
-            first.final_slope().to_bits(),
-            second.final_slope().to_bits()
-        );
-        assert!(delta.cache_hits >= 1, "second lookup should hit");
-        disable_thread_cache();
-    }
-
-    #[test]
-    fn context_word_separates_entries() {
-        enable_thread_cache();
-        let a = tb(100.0, 1e5);
-        let b = tb(200.0, 2e5);
-        let before = OpCounters::snapshot();
-        let _ = add(1, &a, &b);
-        let _ = add(2, &a, &b);
-        let delta = OpCounters::snapshot().delta_since(&before);
-        assert!(delta.cache_misses >= 2, "distinct contexts must not share");
-        disable_thread_cache();
-    }
-
-    #[test]
-    fn disabled_cache_records_no_lookups() {
-        disable_thread_cache();
-        let a = tb(100.0, 1e5);
-        let b = rl(1e6, 1e-3);
-        let before = OpCounters::snapshot();
-        let direct = arena::convolve(&a, &b);
-        let through = convolve(0, &a, &b);
-        assert_eq!(direct.points(), through.points());
-        let delta = OpCounters::snapshot().delta_since(&before);
-        assert_eq!(delta.cache_hits, 0);
-    }
-
-    #[test]
-    fn cache_flushes_at_capacity_and_stays_sound() {
-        enable_thread_cache();
-        let beta = rl(10e6, 1e-4);
-        for i in 0..(CACHE_CAPACITY + 8) {
-            let alpha = tb(1000.0 + i as f64, 1e5);
-            let cached = sub_envelope(3, &alpha, &beta);
-            let direct = arena::sub_envelope(&alpha, &beta);
-            assert_eq!(cached.points(), direct.points());
-        }
-        disable_thread_cache();
     }
 }

@@ -198,32 +198,77 @@ impl Envelope {
     /// The aggregate envelope of multiplexed flows: token-bucket summaries
     /// aggregate exactly as before (bursts add, rates add), and if *any*
     /// flow carries an extra constraint, the aggregate carries the sum of
-    /// the effective curves.
+    /// the effective curves (an [`EnvelopeFold`] over the flows, in order).
     pub fn aggregate_all<'a, I>(flows: I) -> Envelope
     where
         I: IntoIterator<Item = &'a Envelope>,
         I::IntoIter: Clone,
     {
         let iter = flows.into_iter();
-        let tb = TokenBucket::aggregate_all(iter.clone().map(|e| &e.tb));
-        let any_extra = iter.clone().any(|e| e.has_extra());
-        // Arena-backed left fold, arithmetically identical to
-        // `reduce(|acc, c| acc.add(&c))` over the effective curves but
-        // without a fresh breakpoint Vec per member.
-        let extra = any_extra.then(|| {
-            let mut iter = iter;
-            match iter.next() {
-                None => Curve::zero(),
-                Some(first) => {
-                    let mut acc = first.curve();
-                    for e in iter {
-                        acc = crate::arena::add(&acc, &e.effective_curve());
-                    }
-                    acc
-                }
-            }
-        });
-        Envelope { tb, extra }
+        let mut fold = EnvelopeFold::new(iter.clone().any(Envelope::has_extra));
+        for flow in iter {
+            fold.push(flow);
+        }
+        fold.into_aggregate()
+    }
+}
+
+/// [`Envelope::aggregate_all`] as a resumable left fold: members are pushed
+/// one at a time and the aggregate of the members so far can be taken
+/// between pushes, so nested aggregates (the strict-priority prefixes
+/// `≤ p`) continue one fold instead of re-folding from the first member.
+///
+/// The curve sum is seeded with the first member's effective curve and
+/// extended with the arena [`add`](crate::arena::add), so the aggregate of
+/// any prefix is bitwise the `aggregate_all` of that prefix.
+#[derive(Debug, Clone)]
+pub struct EnvelopeFold {
+    tb: TokenBucket,
+    any_extra: bool,
+    fold_curves: bool,
+    curve: Option<Curve>,
+}
+
+impl EnvelopeFold {
+    /// An empty fold.  `fold_curves` must be `true` when any member to be
+    /// pushed carries an extra constraint; when it is `false` only the
+    /// token-bucket summaries are summed and no curve is touched.
+    pub fn new(fold_curves: bool) -> Self {
+        EnvelopeFold {
+            tb: TokenBucket::new(DataSize::ZERO, DataRate::ZERO),
+            any_extra: false,
+            fold_curves,
+            curve: None,
+        }
+    }
+
+    /// Adds one member to the aggregate.
+    ///
+    /// # Panics
+    /// Panics if the member carries an extra constraint and the fold was
+    /// built without `fold_curves`.
+    pub fn push(&mut self, flow: &Envelope) {
+        self.tb = self.tb.aggregate(&flow.tb);
+        self.any_extra |= flow.has_extra();
+        assert!(
+            self.fold_curves || !self.any_extra,
+            "an envelope with an extra constraint needs a curve fold"
+        );
+        if self.fold_curves {
+            self.curve = Some(match self.curve.take() {
+                None => flow.curve(),
+                Some(acc) => crate::arena::add(&acc, &flow.effective_curve()),
+            });
+        }
+    }
+
+    /// The aggregate envelope of every member pushed so far: the summed
+    /// token bucket, plus the curve sum when any member carries an extra.
+    pub fn into_aggregate(self) -> Envelope {
+        let extra = self
+            .any_extra
+            .then(|| self.curve.expect("an extra member was folded"));
+        Envelope { tb: self.tb, extra }
     }
 }
 

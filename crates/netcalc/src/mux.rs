@@ -130,17 +130,21 @@ impl FcfsMux {
     /// horizontal deviation of the aggregate arrival curve against the
     /// link's rate-latency curve (both are sound FCFS aggregate bounds).
     pub fn delay_bound(&self) -> Result<Duration, NcError> {
+        self.delay_bound_against(&Envelope::aggregate_all(self.flows.iter()))
+    }
+
+    /// [`FcfsMux::delay_bound`] given the aggregate envelope of the
+    /// multiplexed flows, already folded by the caller: the closed form
+    /// reads this multiplexer's token-bucket summaries, the refinement the
+    /// aggregate's extra curve.
+    fn delay_bound_against(&self, aggregate: &Envelope) -> Result<Duration, NcError> {
         self.check_stability()?;
         let queueing = self.capacity.transmission_time(self.aggregate_burst());
         let closed = queueing + self.ttechno;
-        if !self.has_extras() {
+        let Some(curve) = aggregate.extra() else {
             return Ok(closed);
-        }
-        let aggregate = Envelope::aggregate_all(self.flows.iter());
-        let h = crate::arena::horizontal_deviation(
-            &aggregate.effective_curve(),
-            &self.service_curve().curve(),
-        )?;
+        };
+        let h = crate::arena::horizontal_deviation(curve, &self.service_curve().curve())?;
         Ok(closed.min(Duration::from_secs_f64_ceil(h)))
     }
 
@@ -390,16 +394,28 @@ impl StaticPriorityMux {
     /// refinement is then skipped and the closed form — sound on its own —
     /// is the bound.
     pub fn delay_bound(&self, priority: usize) -> Result<Duration, NcError> {
+        let through = self
+            .levels
+            .get(..=priority)
+            .ok_or(NcError::UnknownPriority(priority))?;
+        self.delay_bound_against(priority, &Envelope::aggregate_all(through.iter().flatten()))
+    }
+
+    /// [`StaticPriorityMux::delay_bound`] given the aggregate envelope of
+    /// levels `q ≤ p`, already folded by the caller.
+    fn delay_bound_against(
+        &self,
+        priority: usize,
+        aggregate: &Envelope,
+    ) -> Result<Duration, NcError> {
         let residual = self.residual_rate(priority)?;
         let numerator = self.cumulative_burst(priority) + self.lower_blocking_burst(priority);
         let closed = residual.transmission_time(numerator) + self.ttechno;
-        if !self.has_extras_through(priority) {
+        let Some(curve) = aggregate.extra() else {
             return Ok(closed);
-        }
-        let aggregate =
-            Envelope::aggregate_all(self.levels[..=priority].iter().flat_map(|l| l.iter()));
+        };
         let service = self.residual_service(priority)?;
-        match crate::arena::horizontal_deviation(&aggregate.effective_curve(), &service.curve()) {
+        match crate::arena::horizontal_deviation(curve, &service.curve()) {
             Ok(h) => Ok(closed.min(Duration::from_secs_f64_ceil(h))),
             Err(NcError::Unstable { .. }) => Ok(closed),
             Err(e) => Err(e),
@@ -783,31 +799,40 @@ impl WrrMux {
     /// FCFS and strict-priority multiplexers).  An empty class's bound is
     /// its residual latency.
     pub fn delay_bound(&self, class: usize) -> Result<Duration, NcError> {
-        if class >= self.quanta.len() {
-            return Err(NcError::UnknownPriority(class));
-        }
+        let flows = self
+            .classes
+            .get(class)
+            .ok_or(NcError::UnknownPriority(class))?;
+        self.delay_bound_against(
+            class,
+            &Envelope::aggregate_all(flows.iter().map(|f| &f.envelope)),
+        )
+    }
+
+    /// [`WrrMux::delay_bound`] given the aggregate envelope of class `p`,
+    /// already folded by the caller.
+    fn delay_bound_against(&self, class: usize, aggregate: &Envelope) -> Result<Duration, NcError> {
         let service = self.residual_service(class)?;
         if self.classes[class].is_empty() {
             return Ok(service.latency());
         }
-        let aggregate = TokenBucket::aggregate_all(
+        let summary = TokenBucket::aggregate_all(
             self.classes[class]
                 .iter()
                 .map(|f| f.envelope.token_bucket()),
         );
-        if aggregate.rate() > service.rate() {
+        if summary.rate() > service.rate() {
             return Err(NcError::Unstable {
                 context: format!("WRR class {class} residual rate"),
-                demand_bps: aggregate.rate().bps(),
+                demand_bps: summary.rate().bps(),
                 capacity_bps: service.rate().bps(),
             });
         }
-        let closed = bounds::delay_bound(&aggregate, &service)?;
-        if !self.has_extras_at(class) {
+        let closed = bounds::delay_bound(&summary, &service)?;
+        let Some(curve) = aggregate.extra() else {
             return Ok(closed);
-        }
-        let curves = Envelope::aggregate_all(self.classes[class].iter().map(|f| &f.envelope));
-        let h = crate::arena::horizontal_deviation(&curves.effective_curve(), &service.curve())?;
+        };
+        let h = crate::arena::horizontal_deviation(curve, &service.curve())?;
         Ok(closed.min(Duration::from_secs_f64_ceil(h)))
     }
 
@@ -951,13 +976,18 @@ impl Mux {
     }
 
     /// The delay bound of `class` (clamped; identical for every class
-    /// under FCFS).
-    pub fn delay_bound(&self, class: usize) -> Result<Duration, NcError> {
+    /// under FCFS), given the aggregate envelope that class's bound is
+    /// computed against, already folded by the caller: every flow under
+    /// FCFS, levels `q ≤ p` under strict priority, class `p` under WRR.
+    /// The closed forms read this multiplexer's token-bucket summaries; the
+    /// curve refinement reads only the aggregate's extra curve, so the
+    /// multiplexer itself may hold token-bucket summaries only.
+    pub fn delay_bound(&self, class: usize, aggregate: &Envelope) -> Result<Duration, NcError> {
         let class = self.clamp(class);
         match self {
-            Mux::Fcfs(m) => m.delay_bound(),
-            Mux::StaticPriority(m) => m.delay_bound(class),
-            Mux::Wrr(m) => m.delay_bound(class),
+            Mux::Fcfs(m) => m.delay_bound_against(aggregate),
+            Mux::StaticPriority(m) => m.delay_bound_against(class, aggregate),
+            Mux::Wrr(m) => m.delay_bound_against(class, aggregate),
         }
     }
 
@@ -1378,6 +1408,8 @@ mod tests {
     #[test]
     fn mux_dispatch_matches_the_direct_multiplexers() {
         let flows = [tb(64, 20), tb(1000, 40), tb(1518, 160)];
+        let envelopes: Vec<Envelope> = flows.iter().map(|&f| f.into()).collect();
+        let aggregate = |members: &[Envelope]| Envelope::aggregate_all(members.iter());
 
         let mut direct_fcfs = FcfsMux::new(c10(), t16());
         let mut via_fcfs = Mux::fcfs(c10(), t16());
@@ -1390,7 +1422,7 @@ mod tests {
         assert_eq!(via_fcfs.class_count(), 1);
         for p in 0..3 {
             assert_eq!(
-                via_fcfs.delay_bound(p).unwrap(),
+                via_fcfs.delay_bound(p, &aggregate(&envelopes)).unwrap(),
                 direct_fcfs.delay_bound().unwrap()
             );
         }
@@ -1409,7 +1441,7 @@ mod tests {
         }
         for p in 0..3 {
             assert_eq!(
-                via_sp.delay_bound(p).unwrap(),
+                via_sp.delay_bound(p, &aggregate(&envelopes[..=p])).unwrap(),
                 direct_sp.delay_bound(p).unwrap()
             );
             assert_eq!(
@@ -1419,7 +1451,7 @@ mod tests {
         }
         // Out-of-range classes are clamped, exactly like the classifier.
         assert_eq!(
-            via_sp.delay_bound(9).unwrap(),
+            via_sp.delay_bound(9, &aggregate(&envelopes)).unwrap(),
             direct_sp.delay_bound(2).unwrap()
         );
 
@@ -1433,7 +1465,9 @@ mod tests {
         via_wrr.check_stability().unwrap();
         for p in 0..3 {
             assert_eq!(
-                via_wrr.delay_bound(p).unwrap(),
+                via_wrr
+                    .delay_bound(p, &aggregate(&envelopes[p..=p]))
+                    .unwrap(),
                 direct_wrr.delay_bound(p).unwrap()
             );
         }
