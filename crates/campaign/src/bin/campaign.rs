@@ -364,21 +364,33 @@ fn report_soundness(summary: &CampaignSummary, fault_summary: Option<&FaultSumma
     summary.all_sound() && bus_sound && faults_sound
 }
 
-/// Writes a serialized outcome to `path`; `false` on failure.
-fn write_json_outcome<T: serde::Serialize>(path: &str, outcome: &T) -> bool {
-    match serde_json::to_string_pretty(outcome) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(path, json + "\n") {
-                eprintln!("error: writing {path}: {e}");
-                return false;
-            }
-            say!("wrote {path}");
-            true
+/// The tail both paths share: reports violations, writes the outcome to
+/// `--json` (if given) and maps the soundness verdict to the exit code.
+fn finish<T: serde::Serialize>(
+    args: &Args,
+    summary: &CampaignSummary,
+    fault_summary: Option<&FaultSummary>,
+    outcome: &T,
+) -> ExitCode {
+    let sound = report_soundness(summary, fault_summary);
+    if let Some(path) = &args.json {
+        let written = serde_json::to_string_pretty(outcome)
+            .map_err(|e| format!("serializing outcome: {e}"))
+            .and_then(|json| {
+                std::fs::write(path, json + "\n").map_err(|e| format!("writing {path}: {e}"))
+            });
+        if let Err(message) = written {
+            eprintln!("error: {message}");
+            return ExitCode::from(1);
         }
-        Err(e) => {
-            eprintln!("error: serializing outcome: {e}");
-            false
-        }
+        say!("wrote {path}");
+    }
+    if sound {
+        say!("RESULT: 100% soundness — every simulated delay within its analytic bound");
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("RESULT: soundness violated");
+        ExitCode::from(1)
     }
 }
 
@@ -416,19 +428,7 @@ fn run_buffered(args: &Args, config: CampaignConfig) -> ExitCode {
         }
     }
 
-    let sound = report_soundness(summary, fault_summary);
-    if let Some(path) = &args.json {
-        if !write_json_outcome(path, &report.outcome) {
-            return ExitCode::from(1);
-        }
-    }
-    if sound {
-        say!("RESULT: 100% soundness — every simulated delay within its analytic bound");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("RESULT: soundness violated");
-        ExitCode::from(1)
-    }
+    finish(args, summary, fault_summary, &report.outcome)
 }
 
 /// The sharded streaming path: no per-result retention (or listings) —
@@ -462,19 +462,7 @@ fn run_sharded(args: &Args, config: ShardedCampaignConfig) -> ExitCode {
         print_policy_table(summary);
     }
 
-    let sound = report_soundness(summary, fault_summary);
-    if let Some(path) = &args.json {
-        if !write_json_outcome(path, &report.outcome) {
-            return ExitCode::from(1);
-        }
-    }
-    if sound {
-        say!("RESULT: 100% soundness — every simulated delay within its analytic bound");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("RESULT: soundness violated");
-        ExitCode::from(1)
-    }
+    finish(args, summary, fault_summary, &report.outcome)
 }
 
 fn main() -> ExitCode {

@@ -19,12 +19,15 @@
 //!    which also yields the pay-bursts-only-once convolved bound) plus a
 //!    matching cascaded simulation ([`netsim::Simulator::with_fabric`]) —
 //!    on a pool of worker threads, one deterministic engine per run,
-//!    parallelism across runs.
-//! 3. **[`CampaignSummary`]** aggregates the stream of results into
-//!    campaign-level statistics: soundness rate, per-message tightness
-//!    distribution (min/mean/p50/p99/max), bound-violation reports,
+//!    parallelism across runs, and retains every result.
+//!    [`run_sharded_campaign`] executes the same scenarios through the
+//!    same pool in contiguous seed-range shards and retains none.
+//! 3. **[`CampaignSummary`]** holds the campaign-level statistics —
+//!    soundness rate, per-message tightness distribution
+//!    (min/mean/p50/p99/max), bound-violation reports,
 //!    pay-bursts-only-once consistency over the cascaded scenarios and
-//!    per-policy breakdowns.
+//!    per-policy breakdowns — which [`StreamAggregate`] folds from the
+//!    stream of results in scenario-id order, one result at a time.
 //! 4. With [`CampaignConfig::with_1553`] (the `--with-1553` flag) every
 //!    scenario additionally runs the **cross-technology stage**: the same
 //!    workload is projected onto a MIL-STD-1553B bus (synthesized
@@ -94,8 +97,8 @@ pub use report::{
     TightnessDistribution, TightnessStats, ViolationReport,
 };
 pub use runner::{
-    execute_scenario, execute_scenario_with, run_campaign, CampaignConfig, CampaignOutcome,
-    CampaignReport, FaultMode, RuntimeStats,
+    execute_scenario_with, run_campaign, CampaignConfig, CampaignOutcome, CampaignReport,
+    FaultMode, RuntimeStats,
 };
 pub use shard::{
     plan_shards, result_fingerprint, results_fingerprint, run_sharded_campaign, ShardError,

@@ -3,17 +3,22 @@
 //! One deterministic engine, parallelism across *runs*: a pool of worker
 //! threads pulls scenario indices from a shared atomic counter, executes
 //! each scenario's full analytic-plus-simulation pipeline independently,
-//! and streams the results back over a channel.  Because every scenario is
-//! a pure function of `(master seed, scenario id)` and results are sorted
-//! by id before aggregation, the campaign outcome is byte-identical across
-//! runs regardless of thread count or scheduling order — only the runtime
-//! statistics (wall time, throughput, per-thread load) vary.
+//! and streams the results back over a channel to a reorder buffer that
+//! releases them in scenario-id order.  Because every scenario is a pure
+//! function of `(master seed, scenario id)` and every consumer sees the
+//! results in id order, the campaign outcome is byte-identical across runs
+//! regardless of thread count or scheduling order — only the runtime
+//! statistics (wall time, throughput, per-thread load) vary.  The buffered
+//! [`run_campaign`] and the sharded
+//! [`run_sharded_campaign`](crate::run_sharded_campaign) both execute
+//! through this one pool.
 
 use crate::comparison::compare_scenario;
 use crate::report::{
     CampaignSummary, EnvelopeGain, FaultOutcome, FaultSummary, FaultValidation, PbooCheck,
     ScenarioOutcome, ScenarioResult, ViolationReport,
 };
+use crate::shard::StreamAggregate;
 use crate::space::{FaultDraw, Scenario, ScenarioSpace};
 use netcalc::EnvelopeModel;
 use netsim::Simulator;
@@ -22,6 +27,7 @@ use rtswitch_core::{
     Approach, PolicyArm,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
@@ -108,7 +114,7 @@ impl CampaignConfig {
 /// The deterministic part of a campaign's output: scenario results (sorted
 /// by id) plus the aggregate statistics computed from them.  Serializing
 /// this is byte-identical across runs with the same configuration.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignOutcome {
     /// The configuration that produced this outcome (threads excluded from
     /// determinism: any thread count produces the same outcome).
@@ -117,40 +123,11 @@ pub struct CampaignOutcome {
     pub results: Vec<ScenarioResult>,
     /// Campaign-level aggregation.
     pub summary: CampaignSummary,
-    /// Degraded-stage aggregation, present only under `--faults sweep`.
+    /// Degraded-stage aggregation, present only under `--faults sweep`
+    /// (omitted from the JSON otherwise, keeping `--faults off` output
+    /// byte-identical to the pre-fault pipeline's).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fault_summary: Option<FaultSummary>,
-}
-
-// Hand-written (not derived) so fault-free campaigns serialize without the
-// `fault_summary` key: `--faults off` output stays byte-identical to the
-// pre-fault pipeline's, which the regression suite pins.
-impl Serialize for CampaignOutcome {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("master_seed".to_string(), self.master_seed.to_value()),
-            ("results".to_string(), self.results.to_value()),
-            ("summary".to_string(), self.summary.to_value()),
-        ];
-        if let Some(fault_summary) = &self.fault_summary {
-            fields.push(("fault_summary".to_string(), fault_summary.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for CampaignOutcome {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(CampaignOutcome {
-            master_seed: Deserialize::from_value(v.field("master_seed")?)?,
-            results: Deserialize::from_value(v.field("results")?)?,
-            summary: Deserialize::from_value(v.field("summary")?)?,
-            // Absent in every pre-fault record: tolerate the missing field.
-            fault_summary: match v.field("fault_summary") {
-                Ok(value) => Deserialize::from_value(value)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 /// Wall-clock statistics of one campaign execution — everything here is
@@ -187,13 +164,6 @@ pub struct CampaignReport {
     pub outcome: CampaignOutcome,
     /// This run's wall-clock statistics.
     pub runtime: RuntimeStats,
-}
-
-/// Executes one scenario's full pipeline with the default stages (no
-/// 1553B comparison, envelope dimension live) — see
-/// [`execute_scenario_with`].
-pub fn execute_scenario(scenario: Scenario) -> ScenarioResult {
-    execute_scenario_with(scenario, false, None)
 }
 
 /// Executes one scenario's full pipeline: build the workload and fabric,
@@ -387,26 +357,31 @@ pub(crate) fn prepared_scenarios(config: &CampaignConfig) -> Vec<Scenario> {
     scenarios
 }
 
-/// Runs a campaign: generates `config.scenarios` scenarios from the master
-/// seed and executes them on `config.effective_threads()` workers.
-pub fn run_campaign(config: CampaignConfig) -> CampaignReport {
-    let scenarios = prepared_scenarios(&config);
-    let threads = config
-        .effective_threads()
-        .max(1)
-        .min(scenarios.len().max(1));
-
-    let started = Instant::now();
-    let ops_before = netcalc::cache::OpCounters::snapshot();
+/// Executes `scenarios` on a pool of worker threads and hands every
+/// result to `sink` in slice (= scenario-id) order.
+///
+/// The pool gets `min(per_thread.len(), scenarios.len())` workers (at
+/// least one), so a short slice never spawns idle workers.  `per_thread`
+/// is indexed by the campaign-global worker slot: across repeated calls
+/// (one per shard) the load report sums to the scenarios executed instead
+/// of double-counting re-used slots.
+///
+/// Results arrive in completion order; early arrivals wait in a reorder
+/// buffer (bounded by the worker count) until their predecessors have
+/// been handed on, because the summary's float folds must run in id order.
+pub(crate) fn execute_in_order(
+    config: &CampaignConfig,
+    scenarios: &[Scenario],
+    per_thread: &mut [usize],
+    mut sink: impl FnMut(ScenarioResult),
+) {
+    let workers = per_thread.len().min(scenarios.len()).max(1);
     let next = AtomicUsize::new(0);
-    let (sender, receiver) = mpsc::channel::<(usize, ScenarioResult)>();
-    let mut per_thread = vec![0usize; threads];
-
+    let (sender, receiver) = mpsc::channel::<(usize, usize, ScenarioResult)>();
     thread::scope(|scope| {
-        for worker in 0..threads {
+        for worker in 0..workers {
             let sender = sender.clone();
             let next = &next;
-            let scenarios = &scenarios;
             scope.spawn(move || loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
                 let Some(scenario) = scenarios.get(index).copied() else {
@@ -414,42 +389,67 @@ pub fn run_campaign(config: CampaignConfig) -> CampaignReport {
                 };
                 let result =
                     execute_scenario_with(scenario, config.with_1553, config.envelope_override);
-                if sender.send((worker, result)).is_err() {
+                if sender.send((worker, index, result)).is_err() {
                     break;
                 }
             });
         }
         drop(sender);
-        // Drain on the coordinating thread while workers run.
-        let mut collected: Vec<ScenarioResult> = Vec::with_capacity(scenarios.len());
-        for (worker, result) in receiver {
+        let mut pending: BTreeMap<usize, ScenarioResult> = BTreeMap::new();
+        let mut next_index = 0;
+        for (worker, index, result) in receiver {
             per_thread[worker] += 1;
-            collected.push(result);
+            pending.insert(index, result);
+            while let Some(result) = pending.remove(&next_index) {
+                sink(result);
+                next_index += 1;
+            }
         }
-        collected.sort_by_key(|r| r.scenario.id);
-        let elapsed = started.elapsed().as_secs_f64();
-        let summary = CampaignSummary::from_results(&collected);
-        let fault_summary = FaultSummary::from_results(&collected);
-        CampaignReport {
-            outcome: CampaignOutcome {
-                master_seed: config.master_seed,
-                results: collected,
-                summary,
-                fault_summary,
+        debug_assert!(pending.is_empty(), "results outside the slice");
+        debug_assert_eq!(next_index, scenarios.len(), "a result went missing");
+    });
+}
+
+/// Runs a campaign: generates `config.scenarios` scenarios from the master
+/// seed, executes them on `config.effective_threads()` workers (at most
+/// one per scenario) and retains every result alongside the summary.
+pub fn run_campaign(config: CampaignConfig) -> CampaignReport {
+    let scenarios = prepared_scenarios(&config);
+    let threads = config
+        .effective_threads()
+        .max(1)
+        .min(scenarios.len().max(1));
+    let mut per_thread = vec![0usize; threads];
+
+    let started = Instant::now();
+    let ops_before = netcalc::cache::OpCounters::snapshot();
+    let mut aggregate = StreamAggregate::new();
+    let mut results = Vec::with_capacity(scenarios.len());
+    execute_in_order(&config, &scenarios, &mut per_thread, |result| {
+        aggregate.fold(&result);
+        results.push(result);
+    });
+    let elapsed = started.elapsed().as_secs_f64();
+    let (summary, fault_summary) = aggregate.finish();
+    CampaignReport {
+        outcome: CampaignOutcome {
+            master_seed: config.master_seed,
+            results,
+            summary,
+            fault_summary,
+        },
+        runtime: RuntimeStats {
+            threads,
+            per_thread,
+            elapsed_secs: elapsed,
+            scenarios_per_sec: if elapsed > 0.0 {
+                scenarios.len() as f64 / elapsed
+            } else {
+                0.0
             },
-            runtime: RuntimeStats {
-                threads,
-                per_thread: per_thread.clone(),
-                elapsed_secs: elapsed,
-                scenarios_per_sec: if elapsed > 0.0 {
-                    scenarios.len() as f64 / elapsed
-                } else {
-                    0.0
-                },
-                ops: netcalc::cache::OpCounters::snapshot().delta_since(&ops_before),
-            },
-        }
-    })
+            ops: netcalc::cache::OpCounters::snapshot().delta_since(&ops_before),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -518,7 +518,7 @@ mod tests {
         let mut validated = 0;
         let mut saw_gain = false;
         for scenario in cascaded {
-            let result = execute_scenario(scenario);
+            let result = execute_scenario_with(scenario, false, None);
             if let crate::report::ScenarioOutcome::Validated(v) = &result.outcome {
                 validated += 1;
                 assert!(
@@ -621,17 +621,28 @@ mod tests {
 
     #[test]
     fn thread_count_is_clamped_to_scenarios() {
-        let report = run_campaign(CampaignConfig {
-            scenarios: 2,
-            master_seed: 1,
-            threads: 16,
-            with_1553: false,
-            envelope_override: None,
-            policy_override: None,
-            faults: FaultMode::Off,
-        });
-        assert_eq!(report.runtime.threads, 2);
-        assert_eq!(report.outcome.results.len(), 2);
+        // More workers than scenarios, down to an empty campaign: no
+        // panic, one slot per worker actually spawned, every scenario
+        // counted once, and an empty campaign is vacuously sound.
+        for (scenarios, threads, expected_threads) in [(2, 16, 2), (3, 8, 3), (0, 4, 1)] {
+            let report = run_campaign(CampaignConfig {
+                scenarios,
+                master_seed: 1,
+                threads,
+                with_1553: false,
+                envelope_override: None,
+                policy_override: None,
+                faults: FaultMode::Off,
+            });
+            assert_eq!(report.runtime.threads, expected_threads);
+            assert_eq!(report.runtime.per_thread.len(), expected_threads);
+            assert_eq!(report.runtime.per_thread.iter().sum::<usize>(), scenarios);
+            assert_eq!(report.outcome.results.len(), scenarios);
+            let summary = &report.outcome.summary;
+            assert_eq!(summary.scenarios, scenarios);
+            assert!(summary.all_sound(), "violations: {:?}", summary.violations);
+            assert_eq!(summary.soundness_rate, 1.0);
+        }
     }
 
     #[test]

@@ -1,23 +1,27 @@
-//! The sharded streaming campaign executor.
+//! The campaign summary fold and the sharded streaming campaign.
 //!
-//! [`run_campaign`](crate::run_campaign) buffers every
-//! [`ScenarioResult`] before aggregating, which is fine at hundreds of
-//! scenarios and hopeless at 10⁵: a full result carries per-message
-//! tightness vectors, violation reports and comparison sections, so the
-//! buffered vector dominates memory long before the CPUs are the
-//! bottleneck.  This module splits the campaign into contiguous
-//! **seed-range shards** and folds each shard's results into a running
-//! [`StreamAggregate`] the moment they arrive, keeping memory proportional
-//! to the number of shards rather than the number of scenarios.
+//! [`StreamAggregate`] is the one campaign summary builder: it folds each
+//! [`ScenarioResult`] into running counters, max-folds and sample vectors
+//! the moment the result arrives, so the result itself can be dropped.
+//! [`run_campaign`](crate::run_campaign) folds every result into one
+//! aggregate while also retaining it; [`run_sharded_campaign`] retains
+//! nothing.  A full result carries per-message tightness vectors,
+//! violation reports and comparison sections, so retention dominates
+//! memory at 10⁵ scenarios long before the CPUs are the bottleneck.  The
+//! sharded run splits the campaign into contiguous **seed-range shards**,
+//! folds each into its own aggregate and merges them, keeping memory
+//! proportional to the number of shards rather than the number of
+//! scenarios.
 //!
 //! Three invariants make the sharded outcome trustworthy:
 //!
-//! 1. **Order-exact folding.**  Every float accumulation in
-//!    [`CampaignSummary::from_results`] happens in scenario-id order, so
-//!    each shard drains its worker channel through a small reorder buffer
-//!    and folds strictly in id order; shard aggregates are merged in
-//!    shard-index (= id) order.  The merged summary is therefore *equal*
-//!    to the buffered one — same bits, not just approximately.
+//! 1. **Order-exact folding.**  The shared executor hands results on in
+//!    scenario-id order, each shard folds them in that order, and shard
+//!    aggregates are merged in shard-index (= id) order.  Every sample
+//!    vector therefore concatenates in id order and every float sum runs
+//!    in the same order at any shard count, so the merged summary is
+//!    *equal* to the one-aggregate summary of the buffered run — same
+//!    bits, not just approximately.
 //! 2. **Commutative fingerprints.**  Each result hashes to
 //!    `c = FNV(id ‖ FNV(result JSON))` and a shard's fingerprint is the
 //!    wrapping sum of its results' hashes — addition commutes, so the
@@ -35,17 +39,13 @@ use crate::report::{
     ScenarioOutcome, ScenarioResult, TightnessDistribution,
 };
 use crate::runner::{
-    execute_scenario_with, prepared_scenarios, CampaignConfig, FaultMode, RuntimeStats,
+    execute_in_order, prepared_scenarios, CampaignConfig, FaultMode, RuntimeStats,
 };
 use crate::space::Scenario;
 use netcalc::EnvelopeModel;
 use rtswitch_core::PolicyArm;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
 use std::time::Instant;
 use units::Duration;
 
@@ -104,10 +104,11 @@ pub fn results_fingerprint(results: &[ScenarioResult]) -> u64 {
         .fold(0u64, |acc, r| acc.wrapping_add(result_fingerprint(r)))
 }
 
-/// Per-policy-arm streaming accumulator — the buffered breakdown sums
-/// `v.tightness.mean` sequentially in id order, and cross-shard float
-/// sums do not re-associate, so the stream keeps the raw per-scenario
-/// means and re-folds them in id order at [`StreamAggregate::finish`].
+/// Per-policy-arm streaming accumulator.  Float sums do not re-associate,
+/// so instead of a running sum it keeps the raw per-scenario tightness
+/// means (concatenated in id order across merges) and sums them in id
+/// order at [`StreamAggregate::finish`] — the same bits at any shard
+/// count.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 struct ArmAccumulator {
     validated: usize,
@@ -143,8 +144,8 @@ impl ArmAccumulator {
     }
 }
 
-/// Streaming accumulator for the degraded stage, mirroring
-/// [`FaultSummary::from_results`].
+/// Streaming accumulator for the degraded stage: folds each result's
+/// fault section into the [`FaultSummary`] counters.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 struct FaultAccumulator {
     scenarios: usize,
@@ -222,11 +223,11 @@ impl FaultAccumulator {
     }
 }
 
-/// Streaming accumulator for the cross-technology stage, mirroring
-/// [`ComparisonSummary::from_sections`].  The buffered fold starts its
-/// minimum at `f64::INFINITY`, which JSON cannot represent — the stream
-/// keeps an `Option` instead and finalizes `None` to the same `0.0` the
-/// buffered code produces.
+/// Streaming accumulator for the cross-technology stage: folds each
+/// result's comparison section into the [`ComparisonSummary`] counters.
+/// The smallest rejected utilization is an `Option` (the accumulator is
+/// checkpointed as JSON, which has no infinity to start a minimum from)
+/// and `None` — no scenario rejected by the bus — finalizes to `0.0`.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 struct ComparisonAccumulator {
     attempted: usize,
@@ -339,16 +340,16 @@ impl ComparisonAccumulator {
 }
 
 /// A running campaign aggregation: every counter, max-fold and sample
-/// vector that [`CampaignSummary::from_results`],
-/// [`FaultSummary::from_results`] and
-/// [`ComparisonSummary::from_sections`] compute, maintained incrementally
-/// so results can be dropped the moment they are folded.
+/// vector behind [`CampaignSummary`], [`FaultSummary`] and
+/// [`ComparisonSummary`], maintained incrementally so results can be
+/// dropped the moment they are folded.
 ///
 /// Fold results in scenario-id order and merge aggregates in shard-index
-/// order: every sequential float accumulation then replays the buffered
-/// code's exact addition order, making [`StreamAggregate::finish`] equal
-/// (bit for bit) to the buffered summaries.  The accumulator serializes,
-/// so a completed shard can persist it for `--resume`.
+/// order: the sample vectors then concatenate in id order, so every float
+/// accumulation in [`StreamAggregate::finish`] runs in the same order —
+/// and yields the same bits — however the campaign was split.  The
+/// accumulator serializes, so a completed shard can persist it for
+/// `--resume`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamAggregate {
     scenarios: usize,
@@ -412,8 +413,8 @@ impl StreamAggregate {
     }
 
     /// Folds one result into the aggregation.  Callers must fold in
-    /// scenario-id order (within a shard the reorder buffer guarantees
-    /// it) to keep float accumulation identical to the buffered path.
+    /// scenario-id order (the executor's reorder buffer guarantees it) to
+    /// keep float accumulation independent of the sharding.
     pub fn fold(&mut self, result: &ScenarioResult) {
         self.scenarios += 1;
         let arm = result.scenario.approach.arm();
@@ -479,7 +480,7 @@ impl StreamAggregate {
     /// Merges another aggregation into this one.  Merge in shard-index
     /// order: integer counters and max-folds commute, but the sample
     /// vectors must concatenate in id order so the final sequential folds
-    /// replay the buffered addition order.
+    /// run in id order.
     pub fn merge(&mut self, other: &StreamAggregate) {
         self.scenarios += other.scenarios;
         self.validated += other.validated;
@@ -504,18 +505,17 @@ impl StreamAggregate {
         self.comparison.merge(&other.comparison);
     }
 
-    /// Finalizes the aggregation into the campaign summaries — equal to
-    /// what [`CampaignSummary::from_results`] and
-    /// [`FaultSummary::from_results`] would compute over the buffered
-    /// result vector.
+    /// Finalizes the aggregation into the campaign summary and the
+    /// degraded-stage summary (`None` when no result carried a fault
+    /// section).
     pub fn finish(&self) -> (CampaignSummary, Option<FaultSummary>) {
         let mut by_approach = vec![
             self.fcfs.finish(PolicyArm::Fcfs),
             self.priority.finish(PolicyArm::StrictPriority),
         ];
         // The WRR row joins the breakdown only when the sweep drew (or
-        // was forced onto) the WRR arm — same rule as the buffered path,
-        // keeping pre-WRR campaign JSON byte-stable.
+        // was forced onto) the WRR arm, keeping pre-WRR campaign JSON
+        // byte-stable under the fcfs/priority policy overrides.
         if self.wrr_seen {
             by_approach.push(self.wrr.finish(PolicyArm::Wrr));
         }
@@ -564,51 +564,21 @@ pub struct ShardedCampaignConfig {
 /// [`crate::CampaignOutcome`] it carries no per-scenario results — only
 /// the streamed summaries plus the order-independent fingerprint that
 /// stands in for them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardedOutcome {
     /// Master seed of the scenario space.
     pub master_seed: u64,
     /// Scenarios executed across all shards.
     pub scenarios: usize,
-    /// Campaign-level aggregation, equal to the buffered summary.
+    /// Campaign-level aggregation, equal to the buffered run's summary.
     pub summary: CampaignSummary,
-    /// Degraded-stage aggregation, present only under `--faults sweep`.
+    /// Degraded-stage aggregation, present only under `--faults sweep`
+    /// (omitted from the JSON otherwise).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub fault_summary: Option<FaultSummary>,
     /// Wrapping sum of per-result FNV fingerprints — byte-identical
     /// across shard counts, thread counts and resume boundaries.
     pub fingerprint: u64,
-}
-
-// Hand-written for the same reason as `CampaignOutcome`: fault-free runs
-// serialize without the `fault_summary` key.
-impl Serialize for ShardedOutcome {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("master_seed".to_string(), self.master_seed.to_value()),
-            ("scenarios".to_string(), self.scenarios.to_value()),
-            ("summary".to_string(), self.summary.to_value()),
-        ];
-        if let Some(fault_summary) = &self.fault_summary {
-            fields.push(("fault_summary".to_string(), fault_summary.to_value()));
-        }
-        fields.push(("fingerprint".to_string(), self.fingerprint.to_value()));
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for ShardedOutcome {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(ShardedOutcome {
-            master_seed: Deserialize::from_value(v.field("master_seed")?)?,
-            scenarios: Deserialize::from_value(v.field("scenarios")?)?,
-            summary: Deserialize::from_value(v.field("summary")?)?,
-            fault_summary: match v.field("fault_summary") {
-                Ok(value) => Deserialize::from_value(value)?,
-                Err(_) => None,
-            },
-            fingerprint: Deserialize::from_value(v.field("fingerprint")?)?,
-        })
-    }
 }
 
 /// A complete sharded campaign run: the reproducible outcome plus this
@@ -770,61 +740,18 @@ fn write_json<T: Serialize>(path: &Path, value: &T) -> Result<(), ShardError> {
     })
 }
 
-/// Executes the scenarios of one shard on its own worker pool and streams
-/// them into a fresh aggregate.
-///
-/// The pool gets `min(effective_threads, shard length)` workers — the
-/// explicit allocation rule: a shard never spawns more workers than it
-/// has scenarios, and `per_thread` is indexed by the campaign-global
-/// worker slot so the load report sums to the scenario count across all
-/// shards instead of double-counting re-used slots.
+/// Executes the scenarios of one shard and streams them into a fresh
+/// aggregate and fingerprint.
 fn execute_shard(
     config: &CampaignConfig,
     scenarios: &[Scenario],
-    range: (usize, usize),
     per_thread: &mut [usize],
 ) -> (StreamAggregate, u64) {
-    let (start, end) = range;
-    let slice = &scenarios[start..end];
-    let workers = per_thread.len().max(1).min(slice.len().max(1));
     let mut aggregate = StreamAggregate::new();
     let mut fingerprint = 0u64;
-    let next = AtomicUsize::new(0);
-    let (sender, receiver) = mpsc::channel::<(usize, ScenarioResult)>();
-    thread::scope(|scope| {
-        for worker in 0..workers {
-            let sender = sender.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(scenario) = slice.get(index).copied() else {
-                    break;
-                };
-                let result =
-                    execute_scenario_with(scenario, config.with_1553, config.envelope_override);
-                if sender.send((worker, result)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(sender);
-        // Streaming drain with a reorder buffer: results arrive in
-        // completion order, but the float folds must run in id order, so
-        // early arrivals wait in the map (bounded by the worker count)
-        // until their predecessors are folded and dropped.
-        let mut pending: BTreeMap<usize, ScenarioResult> = BTreeMap::new();
-        let mut next_id = start;
-        for (worker, result) in receiver {
-            per_thread[worker] += 1;
-            pending.insert(result.scenario.id, result);
-            while let Some(result) = pending.remove(&next_id) {
-                fingerprint = fingerprint.wrapping_add(result_fingerprint(&result));
-                aggregate.fold(&result);
-                next_id += 1;
-            }
-        }
-        debug_assert!(pending.is_empty(), "results outside the shard range");
-        debug_assert_eq!(next_id, end, "shard folded a gap");
+    execute_in_order(config, scenarios, per_thread, |result| {
+        fingerprint = fingerprint.wrapping_add(result_fingerprint(&result));
+        aggregate.fold(&result);
     });
     (aggregate, fingerprint)
 }
@@ -946,7 +873,8 @@ pub fn run_sharded_campaign(config: &ShardedCampaignConfig) -> Result<ShardedRep
         if states[index].is_some() {
             continue;
         }
-        let (aggregate, fingerprint) = execute_shard(&base, &scenarios, range, &mut per_thread);
+        let (aggregate, fingerprint) =
+            execute_shard(&base, &scenarios[range.0..range.1], &mut per_thread);
         let state = ShardState {
             index,
             start: range.0,
@@ -965,7 +893,7 @@ pub fn run_sharded_campaign(config: &ShardedCampaignConfig) -> Result<ShardedRep
 
     // Merge in shard-index (= scenario-id) order: the fingerprint sum
     // commutes, but the aggregate's sample vectors must concatenate in id
-    // order for the final float folds to replay the buffered order.
+    // order for the final float folds to run in id order.
     let mut merged = StreamAggregate::new();
     let mut fingerprint = 0u64;
     for state in states.iter().flatten() {
@@ -1048,10 +976,11 @@ mod tests {
 
     #[test]
     fn streaming_aggregate_equals_buffered_summaries() {
-        // The crux of the streaming design: folding one result at a time
-        // (and merging across shard boundaries) must reproduce the
-        // buffered `from_results` summaries bit for bit, comparison and
-        // fault sections included.
+        // The crux of the streaming design: splitting the buffered run's
+        // results into 1, 2 or 7 shards, folding each into its own
+        // aggregate and merging them must reproduce the buffered run's
+        // one-aggregate summaries bit for bit, comparison and fault
+        // sections included.
         let buffered = run_campaign(small_config(2));
         for shards in [1, 2, 7] {
             let plan = plan_shards(buffered.outcome.results.len(), shards);

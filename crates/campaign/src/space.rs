@@ -157,7 +157,7 @@ impl FaultDraw {
 }
 
 /// One fully-specified scenario of the sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Index within the campaign (0-based).
     pub id: usize,
@@ -185,56 +185,11 @@ pub struct Scenario {
     pub envelope: EnvelopeModel,
     /// Fault dimension: `Some` only when the campaign runs with
     /// `--faults sweep`, in which case the degraded stage expands and
-    /// injects this draw.
+    /// injects this draw.  Omitted from the JSON when `None`, so
+    /// `--faults off` campaign JSON stays byte-identical to the pre-fault
+    /// pipeline's output, which the regression suite pins.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub faults: Option<FaultDraw>,
-}
-
-// Hand-written (not derived) so a fault-free scenario serializes without
-// the `faults` key: `--faults off` campaign JSON stays byte-identical to
-// the pre-fault pipeline's output, which the regression suite pins.
-impl Serialize for Scenario {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("id".to_string(), self.id.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("source".to_string(), self.source.to_value()),
-            ("link_rate".to_string(), self.link_rate.to_value()),
-            ("ttechno".to_string(), self.ttechno.to_value()),
-            ("approach".to_string(), self.approach.to_value()),
-            ("fabric".to_string(), self.fabric.to_value()),
-            ("sporadic".to_string(), self.sporadic.to_value()),
-            ("phasing".to_string(), self.phasing.to_value()),
-            ("horizon".to_string(), self.horizon.to_value()),
-            ("envelope".to_string(), self.envelope.to_value()),
-        ];
-        if let Some(faults) = &self.faults {
-            fields.push(("faults".to_string(), faults.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for Scenario {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(Scenario {
-            id: Deserialize::from_value(v.field("id")?)?,
-            seed: Deserialize::from_value(v.field("seed")?)?,
-            source: Deserialize::from_value(v.field("source")?)?,
-            link_rate: Deserialize::from_value(v.field("link_rate")?)?,
-            ttechno: Deserialize::from_value(v.field("ttechno")?)?,
-            approach: Deserialize::from_value(v.field("approach")?)?,
-            fabric: Deserialize::from_value(v.field("fabric")?)?,
-            sporadic: Deserialize::from_value(v.field("sporadic")?)?,
-            phasing: Deserialize::from_value(v.field("phasing")?)?,
-            horizon: Deserialize::from_value(v.field("horizon")?)?,
-            envelope: Deserialize::from_value(v.field("envelope")?)?,
-            // Absent in every pre-fault record: tolerate the missing field.
-            faults: match v.field("faults") {
-                Ok(value) => Deserialize::from_value(value)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl Scenario {

@@ -81,7 +81,7 @@ pub struct FaultReport {
 }
 
 /// The complete result of a simulation run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Per-flow statistics, in message order.
     pub flows: Vec<FlowStats>,
@@ -97,50 +97,10 @@ pub struct SimReport {
     /// The simulated horizon.
     pub horizon: Duration,
     /// Fault statistics; present only when faults were injected, so healthy
-    /// reports keep their exact pre-fault JSON shape (the hand-written
-    /// serialization below omits the field entirely when `None`).
+    /// reports keep their exact pre-fault JSON shape (the field is omitted
+    /// entirely when `None`).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub faults: Option<FaultReport>,
-}
-
-impl Serialize for SimReport {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("flows".to_string(), self.flows.to_value()),
-            ("ports".to_string(), self.ports.to_value()),
-            (
-                "total_generated".to_string(),
-                self.total_generated.to_value(),
-            ),
-            (
-                "total_delivered".to_string(),
-                self.total_delivered.to_value(),
-            ),
-            ("total_dropped".to_string(), self.total_dropped.to_value()),
-            ("horizon".to_string(), self.horizon.to_value()),
-        ];
-        if let Some(faults) = &self.faults {
-            fields.push(("faults".to_string(), faults.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for SimReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(SimReport {
-            flows: Deserialize::from_value(v.field("flows")?)?,
-            ports: Deserialize::from_value(v.field("ports")?)?,
-            total_generated: Deserialize::from_value(v.field("total_generated")?)?,
-            total_delivered: Deserialize::from_value(v.field("total_delivered")?)?,
-            total_dropped: Deserialize::from_value(v.field("total_dropped")?)?,
-            horizon: Deserialize::from_value(v.field("horizon")?)?,
-            // Absent in every pre-fault report: tolerate the missing field.
-            faults: match v.field("faults") {
-                Ok(value) => Deserialize::from_value(value)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl SimReport {

@@ -13,6 +13,12 @@
 //! * enums with unit, newtype and struct variants (externally tagged, as in
 //!   serde's default representation).
 //!
+//! Named fields (of structs and struct variants) accept serde's
+//! `#[serde(default)]` — a missing field deserializes to
+//! `Default::default()` — and `#[serde(skip_serializing_if = "path")]` —
+//! the field is omitted from the output whenever `path(&field)` is true.
+//! Any other `#[serde(...)]` field attribute is a compile error.
+//!
 //! Generics, unions, multi-field tuple structs and tuple variants are
 //! rejected with a compile error.
 
@@ -22,7 +28,7 @@ use proc_macro::{Delimiter, TokenStream, TokenTree};
 enum Shape {
     NamedStruct {
         name: String,
-        fields: Vec<String>,
+        fields: Vec<Field>,
     },
     NewtypeStruct {
         name: String,
@@ -41,7 +47,16 @@ struct Variant {
 enum VariantKind {
     Unit,
     Newtype,
-    Struct(Vec<String>),
+    Struct(Vec<Field>),
+}
+
+/// A named field and the `#[serde(...)]` attributes the shim honours.
+struct Field {
+    name: String,
+    /// `#[serde(default)]`: a missing field deserializes to its default.
+    default: bool,
+    /// `#[serde(skip_serializing_if = "path")]`: the predicate's path.
+    skip_serializing_if: Option<String>,
 }
 
 #[proc_macro_derive(Serialize, attributes(serde))]
@@ -99,14 +114,17 @@ impl Cursor {
         t
     }
 
-    /// Skips attributes (`#[...]`) and visibility (`pub`, `pub(...)`).
-    fn skip_attrs_and_vis(&mut self) {
+    /// Consumes attributes (`#[...]`) and visibility (`pub`, `pub(...)`),
+    /// returning each attribute's bracketed body.
+    fn attrs_and_vis(&mut self) -> Vec<TokenStream> {
+        let mut attrs = Vec::new();
         loop {
             match self.peek() {
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                     self.next();
-                    // The bracket group of the attribute.
-                    self.next();
+                    if let Some(TokenTree::Group(g)) = self.next() {
+                        attrs.push(g.stream());
+                    }
                 }
                 Some(TokenTree::Ident(i)) if i.to_string() == "pub" => {
                     self.next();
@@ -119,6 +137,7 @@ impl Cursor {
                 _ => break,
             }
         }
+        attrs
     }
 
     fn expect_ident(&mut self) -> Result<String, String> {
@@ -147,7 +166,7 @@ impl Cursor {
 
 fn parse_shape(input: TokenStream) -> Result<Shape, String> {
     let mut c = Cursor::new(input);
-    c.skip_attrs_and_vis();
+    c.attrs_and_vis();
     let kw = c.expect_ident()?;
     match kw.as_str() {
         "struct" => {
@@ -189,11 +208,11 @@ fn parse_shape(input: TokenStream) -> Result<Shape, String> {
     }
 }
 
-fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
+fn parse_named_fields(stream: TokenStream) -> Result<Vec<Field>, String> {
     let mut c = Cursor::new(stream);
     let mut fields = Vec::new();
     loop {
-        c.skip_attrs_and_vis();
+        let attrs = c.attrs_and_vis();
         if c.peek().is_none() {
             break;
         }
@@ -207,9 +226,57 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
             }
         }
         c.skip_type();
-        fields.push(field);
+        fields.push(parse_field_attrs(field, attrs)?);
     }
     Ok(fields)
+}
+
+/// Reads the `#[serde(...)]` attributes of field `name`; other attributes
+/// (doc comments included) are ignored.
+fn parse_field_attrs(name: String, attrs: Vec<TokenStream>) -> Result<Field, String> {
+    let mut field = Field {
+        name,
+        default: false,
+        skip_serializing_if: None,
+    };
+    for attr in attrs {
+        let mut c = Cursor::new(attr);
+        match c.next() {
+            Some(TokenTree::Ident(i)) if i.to_string() == "serde" => {}
+            _ => continue,
+        }
+        let args = match c.next() {
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => g.stream(),
+            other => return Err(format!("malformed serde attribute: {other:?}")),
+        };
+        let mut args = Cursor::new(args);
+        while let Some(token) = args.next() {
+            match token.to_string().as_str() {
+                "," => {}
+                "default" => field.default = true,
+                "skip_serializing_if" => match (args.next(), args.next()) {
+                    (Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(path)))
+                        if eq.as_char() == '=' =>
+                    {
+                        field.skip_serializing_if = Some(path.to_string().trim_matches('"').into());
+                    }
+                    _ => {
+                        return Err(format!(
+                            "`skip_serializing_if` on `{}` expects `= \"path\"`",
+                            field.name
+                        ))
+                    }
+                },
+                other => {
+                    return Err(format!(
+                        "serde shim derive does not support field attribute `{other}` (on `{}`)",
+                        field.name
+                    ))
+                }
+            }
+        }
+    }
+    Ok(field)
 }
 
 /// Number of top-level comma-separated items in a tuple-struct body.
@@ -240,7 +307,7 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
     let mut c = Cursor::new(stream);
     let mut variants = Vec::new();
     loop {
-        c.skip_attrs_and_vis();
+        c.attrs_and_vis();
         if c.peek().is_none() {
             break;
         }
@@ -280,20 +347,59 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 // Code generation
 // ---------------------------------------------------------------------------
 
+/// An expression building the object of `fields`, each read through
+/// `access(name)` (an expression of type `&FieldType`).
+fn gen_object(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let mut pushes = String::new();
+    for f in fields {
+        let (name, value) = (&f.name, access(&f.name));
+        let push = format!(
+            "__fields.push((::std::string::String::from({name:?}), \
+                ::serde::Serialize::to_value({value})));"
+        );
+        match &f.skip_serializing_if {
+            Some(path) => pushes.push_str(&format!("if !{path}({value}) {{ {push} }}")),
+            None => pushes.push_str(&push),
+        }
+    }
+    format!(
+        "{{ let mut __fields = ::std::vec::Vec::with_capacity({}); {pushes} \
+            ::serde::Value::Object(__fields) }}",
+        fields.len()
+    )
+}
+
+/// Struct-literal field initializers reading each field from `source` (an
+/// expression of type `&::serde::Value`).
+fn gen_field_inits(fields: &[Field], source: &str) -> String {
+    let mut inits = String::new();
+    for f in fields {
+        let name = &f.name;
+        if f.default {
+            inits.push_str(&format!(
+                "{name}: match {source}.field({name:?}) {{\
+                    ::std::result::Result::Ok(__field) => ::serde::Deserialize::from_value(__field)?,\
+                    ::std::result::Result::Err(_) => ::std::default::Default::default(),\
+                }},"
+            ));
+        } else {
+            inits.push_str(&format!(
+                "{name}: ::serde::Deserialize::from_value({source}.field({name:?})?)?,"
+            ));
+        }
+    }
+    inits
+}
+
 fn gen_serialize(shape: &Shape) -> String {
     match shape {
         Shape::NamedStruct { name, fields } => {
-            let mut pairs = String::new();
-            for f in fields {
-                pairs.push_str(&format!(
-                    "(::std::string::String::from({f:?}), ::serde::Serialize::to_value(&self.{f})),"
-                ));
-            }
+            let object = gen_object(fields, |f| format!("&self.{f}"));
             format!(
                 "#[automatically_derived]\n\
                  impl ::serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> ::serde::Value {{\n\
-                         ::serde::Value::Object(::std::vec![{pairs}])\n\
+                         {object}\n\
                      }}\n\
                  }}"
             )
@@ -320,18 +426,11 @@ fn gen_serialize(shape: &Shape) -> String {
                             ::serde::Serialize::to_value(__inner))]),"
                     )),
                     VariantKind::Struct(fields) => {
-                        let mut pairs = String::new();
-                        let mut bindings = String::new();
-                        for f in fields {
-                            bindings.push_str(&format!("{f},"));
-                            pairs.push_str(&format!(
-                                "(::std::string::String::from({f:?}), ::serde::Serialize::to_value({f})),"
-                            ));
-                        }
+                        let bindings: String = fields.iter().map(|f| format!("{},", f.name)).collect();
+                        let object = gen_object(fields, str::to_string);
                         arms.push_str(&format!(
                             "{name}::{vn} {{ {bindings} }} => ::serde::Value::Object(::std::vec![(\
-                                ::std::string::String::from({vn:?}), \
-                                ::serde::Value::Object(::std::vec![{pairs}]))]),"
+                                ::std::string::String::from({vn:?}), {object})]),"
                         ));
                     }
                 }
@@ -351,12 +450,7 @@ fn gen_serialize(shape: &Shape) -> String {
 fn gen_deserialize(shape: &Shape) -> String {
     match shape {
         Shape::NamedStruct { name, fields } => {
-            let mut inits = String::new();
-            for f in fields {
-                inits.push_str(&format!(
-                    "{f}: ::serde::Deserialize::from_value(__v.field({f:?})?)?,"
-                ));
-            }
+            let inits = gen_field_inits(fields, "__v");
             format!(
                 "#[automatically_derived]\n\
                  impl ::serde::Deserialize for {name} {{\n\
@@ -388,12 +482,7 @@ fn gen_deserialize(shape: &Shape) -> String {
                             ::serde::Deserialize::from_value(__inner)?)),"
                     )),
                     VariantKind::Struct(fields) => {
-                        let mut inits = String::new();
-                        for f in fields {
-                            inits.push_str(&format!(
-                                "{f}: ::serde::Deserialize::from_value(__inner.field({f:?})?)?,"
-                            ));
-                        }
+                        let inits = gen_field_inits(fields, "__inner");
                         tagged_arms.push_str(&format!(
                             "{vn:?} => ::std::result::Result::Ok({name}::{vn} {{ {inits} }}),"
                         ));
