@@ -531,10 +531,10 @@ pub fn compose_end_to_end(
         let network_curve = leftover_curves[1..]
             .iter()
             .fold(leftover_curves[0].convex_minorant(), |acc, c| {
-                netcalc::arena::convolve(&acc, &c.convex_minorant())
+                netcalc::convolve(&acc, &c.convex_minorant())
             });
         let source_curve = spec.arrival_envelope(model, config.link_rate).curve();
-        let h = netcalc::arena::horizontal_deviation(&source_curve, &network_curve).map_err(
+        let h = netcalc::minplus::horizontal_deviation(&source_curve, &network_curve).map_err(
             |source| AnalysisError::Stage {
                 stage: format!("convolved path of {}", spec.name),
                 source,

@@ -24,7 +24,7 @@ use crate::analysis::stage::{analyze_stage, class_aggregates, mux_for_policy, St
 use crate::config::NetworkConfig;
 use ethernet::SchedulingPolicy;
 use netcalc::{
-    arena, delay_bound, Curve, Envelope, EnvelopeModel, NcError, RateLatency, TokenBucket,
+    delay_bound, minplus, Curve, Envelope, EnvelopeModel, NcError, RateLatency, TokenBucket,
 };
 use units::Duration;
 use workload::MessageId;
@@ -150,7 +150,7 @@ pub fn analyze_port(
                         .saturating_sub_const(frame.as_f64_bits())
                         .expect("frame sizes are finite and non-negative");
                 }
-                let h = arena::horizontal_deviation(&flow.envelope.effective_curve(), &lo_curve)
+                let h = minplus::horizontal_deviation(&flow.envelope.effective_curve(), &lo_curve)
                     .map_err(&stage)?;
                 (Duration::from_secs_f64_ceil(h), Some(lo_curve))
             }
@@ -310,11 +310,10 @@ pub fn leftover_curves_for_port(
         .iter()
         .map(|f| {
             let own = clamp(f.priority);
-            let cross = arena::sub_envelope(
-                &aggregates[own].effective_curve(),
-                &f.envelope.effective_curve(),
-            );
-            arena::leftover(&bases[own], &cross)
+            let cross = aggregates[own]
+                .effective_curve()
+                .sub_envelope(&f.envelope.effective_curve());
+            minplus::leftover(&bases[own], &cross)
         })
         .collect()
 }

@@ -288,7 +288,7 @@ mod tests {
 mod proptests {
     use super::*;
     use ethernet::WrrWeights;
-    use netcalc::{arena, Curve, TokenBucket};
+    use netcalc::{Curve, TokenBucket};
     use proptest::prelude::*;
 
     /// A curve's exact bit pattern: breakpoints and final slope.
@@ -308,7 +308,7 @@ mod proptests {
         ///   prefix), token-bucket-only exactly when no member carries an
         ///   extra;
         /// * the aggregate's effective curve is bitwise a
-        ///   `Curve::zero()`-seeded [`arena::add`] fold over the members'
+        ///   `Curve::zero()`-seeded [`Curve::add`] fold over the members'
         ///   effective curves.
         #[test]
         fn class_aggregates_match_aggregate_all_and_zero_seeded_folds(
@@ -383,7 +383,7 @@ mod proptests {
                     continue;
                 }
                 let zero_seeded = members.iter().fold(Curve::zero(), |acc, e| {
-                    arena::add(&acc, &e.effective_curve())
+                    acc.add(&e.effective_curve())
                 });
                 prop_assert_eq!(
                     bits(&aggregate.effective_curve()),

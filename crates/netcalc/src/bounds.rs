@@ -1,7 +1,8 @@
 //! Worst-case delay, backlog and output bounds from arrival/service curves.
 
 use crate::arrival::{ArrivalBound, TokenBucket};
-use crate::minplus;
+use crate::minplus::{self, horizontal_deviation_into, vertical_deviation_into};
+use crate::scratch::with_scratch;
 use crate::service::{RateLatency, ServiceBound};
 use crate::NcError;
 use units::{DataSize, Duration};
@@ -11,12 +12,14 @@ use units::{DataSize, Duration};
 /// `h(α, β)`, rounded **up** to the next nanosecond.
 ///
 /// For the token-bucket / rate-latency pair used throughout the paper this
-/// equals the closed form `T + b / R`.
+/// equals the closed form `T + b / R`.  Runs the deviation kernel directly,
+/// so it does not count as a min-plus operator call.
 pub fn delay_bound<A: ArrivalBound + ?Sized, S: ServiceBound + ?Sized>(
     alpha: &A,
     beta: &S,
 ) -> Result<Duration, NcError> {
-    let h = minplus::horizontal_deviation(&alpha.curve(), &beta.curve())?;
+    let (alpha, beta) = (alpha.curve(), beta.curve());
+    let h = with_scratch(|s| horizontal_deviation_into(&alpha, &beta, &mut s.candidates))?;
     Ok(Duration::from_secs_f64_ceil(h))
 }
 
@@ -24,12 +27,14 @@ pub fn delay_bound<A: ArrivalBound + ?Sized, S: ServiceBound + ?Sized>(
 /// element offering service bound `beta`: the vertical deviation `v(α, β)`,
 /// rounded **up** to the next bit.
 ///
-/// For the token-bucket / rate-latency pair this equals `b + r·T`.
+/// For the token-bucket / rate-latency pair this equals `b + r·T`.  Like
+/// [`delay_bound`], it runs the kernel uncounted.
 pub fn backlog_bound<A: ArrivalBound + ?Sized, S: ServiceBound + ?Sized>(
     alpha: &A,
     beta: &S,
 ) -> Result<DataSize, NcError> {
-    let v = minplus::vertical_deviation(&alpha.curve(), &beta.curve())?;
+    let (alpha, beta) = (alpha.curve(), beta.curve());
+    let v = with_scratch(|s| vertical_deviation_into(&alpha, &beta, &mut s.candidates))?;
     Ok(DataSize::from_bits(v.ceil() as u64))
 }
 

@@ -1,10 +1,21 @@
 //! Min-plus operation accounting.
 //!
-//! Every arena free function records its operator kind into a relaxed
-//! [`AtomicU64`]; [`OpCounters::snapshot`] reads them all at once so a
-//! campaign shard (or the admission engine) can report the delta of
-//! min-plus work it performed without re-profiling.  The counters feed the
-//! campaign load report and the benchmark's per-operator ledger.
+//! Every public min-plus operator call records its [`OpKind`] exactly once
+//! into a relaxed [`AtomicU64`].  The operators are
+//! [`convolve`](crate::minplus::convolve),
+//! [`deconvolve`](crate::minplus::deconvolve),
+//! [`leftover`](crate::minplus::leftover), the two deviations in
+//! [`crate::minplus`], and [`Curve::add`](crate::Curve::add),
+//! [`Curve::sub_envelope`](crate::Curve::sub_envelope),
+//! [`Curve::min`](crate::Curve::min) and [`Curve::max`](crate::Curve::max).
+//! An operator built from other operators runs their kernels directly, so
+//! it counts once; the closed-form wrappers [`crate::delay_bound`] and
+//! [`crate::backlog_bound`] run the deviation kernels without counting.
+//!
+//! [`OpCounters::snapshot`] reads all counters at once so a campaign shard
+//! (or the admission engine) can report the delta of min-plus work it
+//! performed without re-profiling.  The counters feed the campaign load
+//! report and the benchmark's per-operator ledger.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

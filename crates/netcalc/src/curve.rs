@@ -7,6 +7,8 @@
 //! the x-axis and `f64` bits on the y-axis; all conversions back to exact
 //! integer quantities round pessimistically at the caller.
 
+use crate::cache::OpKind;
+use crate::scratch::{self, Scratch};
 use crate::NcError;
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +27,7 @@ pub const EPS: f64 = 1e-6;
 /// * the final slope is finite and non-negative;
 /// * (debug builds) the breakpoint list is *simplified*: no interior
 ///   breakpoint is collinear with its neighbours and the last breakpoint is
-///   not collinear with the final slope — see [`Curve::simplify`].
+///   not collinear with the final slope.
 ///
 /// A token-bucket arrival curve `γ_{r,b}` is represented with a single
 /// breakpoint `(0, b)` and final slope `r` (i.e. the value *just after* the
@@ -102,7 +104,7 @@ impl Curve {
         debug_assert!(
             is_simplified(&points, final_slope),
             "curve has redundant (collinear) breakpoints: {points:?} slope {final_slope}; \
-             route the construction through Curve::simplify"
+             drop every breakpoint collinear with its neighbours or the final slope first"
         );
         Ok(Curve {
             points,
@@ -117,29 +119,8 @@ impl Curve {
         Curve::new(simplify_points(points, final_slope), final_slope)
     }
 
-    /// Returns the curve with every redundant breakpoint removed: interior
-    /// breakpoints collinear with their neighbours (within [`EPS`]) and a
-    /// last breakpoint collinear with the final slope.  The represented
-    /// function is unchanged.
-    pub fn simplify(&self) -> Curve {
-        Curve {
-            points: simplify_points(self.points.clone(), self.final_slope),
-            final_slope: self.final_slope,
-        }
-    }
-
-    /// In-place variant of [`Curve::simplify`]: removes redundant
-    /// breakpoints without allocating a new breakpoint list.  Produces a
-    /// breakpoint list identical to the allocating path (the equivalence is
-    /// property-tested in [`crate::arena`]).
-    pub fn simplify_in_place(&mut self) {
-        simplify_points_in_place(&mut self.points, self.final_slope);
-    }
-
-    /// Constructs a curve from an already-simplified breakpoint list (the
-    /// arena operations end every synthesis with
-    /// [`simplify_points_in_place`], exactly like the allocating operations
-    /// end with [`simplify_points`]).
+    /// Constructs a curve from an already-simplified breakpoint list (every
+    /// operator kernel ends its synthesis with [`simplify_points_in_place`]).
     pub(crate) fn from_simplified_parts(points: Vec<(f64, f64)>, final_slope: f64) -> Curve {
         debug_assert!(is_simplified(&points, final_slope));
         Curve {
@@ -313,16 +294,18 @@ impl Curve {
 
     /// Pointwise sum of two curves (the arrival curve of an aggregate flow).
     pub fn add(&self, other: &Curve) -> Curve {
-        let xs = merged_abscissas(self, other);
-        let points = xs
-            .iter()
-            .map(|&x| (x, self.eval(x) + other.eval(x)))
-            .collect();
-        let final_slope = self.final_slope + other.final_slope;
-        Curve {
-            points: simplify_points(points, final_slope),
-            final_slope,
-        }
+        scratch::op(OpKind::Add, |s| {
+            let final_slope = add_points_into(
+                (&self.points, self.final_slope),
+                (&other.points, other.final_slope),
+                &mut s.xs,
+                &mut s.work,
+            );
+            Curve {
+                points: s.work.clone(),
+                final_slope,
+            }
+        })
     }
 
     /// Pointwise difference `self − other` of two curves, for splitting an
@@ -333,48 +316,48 @@ impl Curve {
     /// summands of `self`); float noise is clamped to keep the result a
     /// valid curve.
     pub fn sub_envelope(&self, other: &Curve) -> Curve {
-        let xs = merged_abscissas(self, other);
-        let mut points: Vec<(f64, f64)> = Vec::with_capacity(xs.len());
-        let mut prev = 0.0_f64;
-        for &x in &xs {
-            let y = (self.eval(x) - other.eval(x)).max(prev).max(0.0);
-            points.push((x, y));
-            prev = y;
-        }
-        let final_slope = (self.final_slope - other.final_slope).max(0.0);
-        Curve {
-            points: simplify_points(points, final_slope),
-            final_slope,
-        }
+        scratch::op(OpKind::SubEnvelope, |s| {
+            let final_slope = sub_envelope_points_into(
+                (&self.points, self.final_slope),
+                (&other.points, other.final_slope),
+                &mut s.xs,
+                &mut s.work,
+            );
+            Curve {
+                points: s.work.clone(),
+                final_slope,
+            }
+        })
     }
 
     /// Pointwise minimum of two curves (combining two envelopes of the same
     /// flow, e.g. token bucket ∧ staircase).
     pub fn min(&self, other: &Curve) -> Curve {
-        self.combine(other, true)
+        scratch::op(OpKind::Combine, |s| self.combine_in(other, true, s))
     }
 
     /// Pointwise maximum of two curves (the upper envelope, used by the
     /// min-plus deconvolution).
     pub fn max(&self, other: &Curve) -> Curve {
-        self.combine(other, false)
+        scratch::op(OpKind::Combine, |s| self.combine_in(other, false, s))
     }
 
-    /// Shared implementation of [`Curve::min`] / [`Curve::max`]: the
-    /// sweep-line [`combine_points_into`] kernel on fresh buffers.
-    fn combine(&self, other: &Curve, take_min: bool) -> Curve {
-        let (mut grid, mut crossings, mut xs, mut out) = (vec![], vec![], vec![], vec![]);
+    /// Shared body of [`Curve::min`] / [`Curve::max`]: the sweep-line
+    /// [`combine_points_into`] kernel on the caller's scratch.  Records no
+    /// operator, so a composite operator (the deconvolution's max
+    /// reduction) can run it inside its own scratch borrow.
+    pub(crate) fn combine_in(&self, other: &Curve, take_min: bool, s: &mut Scratch) -> Curve {
         let final_slope = combine_points_into(
             (&self.points, self.final_slope),
             (&other.points, other.final_slope),
             take_min,
-            &mut grid,
-            &mut crossings,
-            &mut xs,
-            &mut out,
+            &mut s.grid,
+            &mut s.crossings,
+            &mut s.xs,
+            &mut s.work,
         );
         Curve {
-            points: out,
+            points: s.work.clone(),
             final_slope,
         }
     }
@@ -521,37 +504,6 @@ impl Curve {
         }
         let raw: Vec<(f64, f64)> = self.points.iter().map(|&(x, y)| (x, y - c)).collect();
         Ok(clamp_nonneg(raw, self.final_slope))
-    }
-
-    /// Horizontal shift to the right by `delta` seconds:
-    /// `g(t) = f((t − delta)⁺)` keeping `g(t) = f(0)`… actually for service
-    /// curves the natural shift is `g(t) = f(t − delta)` for `t ≥ delta`,
-    /// `0` below, which is what this returns.
-    pub fn shift_right(&self, delta: f64) -> Result<Curve, NcError> {
-        if delta < 0.0 || !delta.is_finite() {
-            return Err(NcError::InvalidCurve(format!("invalid shift {delta}")));
-        }
-        if delta == 0.0 {
-            return Ok(self.clone());
-        }
-        let mut points = vec![(0.0, 0.0)];
-        if self.points[0].1 > 0.0 {
-            // Keep the jump after the dead time.
-            points.push((delta, 0.0));
-        }
-        for &(x, y) in &self.points {
-            let nx = x + delta;
-            if points
-                .last()
-                .map(|&(px, _)| nx > px + 1e-15)
-                .unwrap_or(true)
-            {
-                points.push((nx, y));
-            } else if let Some(last) = points.last_mut() {
-                last.1 = y;
-            }
-        }
-        Curve::simplified(points, self.final_slope)
     }
 
     /// The greatest convex function below the curve (the lower convex
@@ -710,8 +662,8 @@ pub(crate) fn merged_abscissas(a: &Curve, b: &Curve) -> Vec<f64> {
 
 /// Slice-level [`Curve::eval`]: evaluates the piecewise-linear function
 /// given by `points` + `final_slope` at `t` (`t < 0` clamped to 0).  Shared
-/// verbatim by the owning method and the arena operations so both paths
-/// perform the identical arithmetic.
+/// verbatim by the owning method and the combine kernels' tail checks so
+/// both perform the identical arithmetic.
 pub(crate) fn eval_points(points: &[(f64, f64)], final_slope: f64, t: f64) -> f64 {
     let t = t.max(0.0);
     let (last_x, last_y) = *points.last().expect("curve has at least one point");
@@ -1336,16 +1288,6 @@ mod tests {
     }
 
     #[test]
-    fn shift_right_adds_dead_time() {
-        let c = Curve::rate_latency(100.0, 0.5).unwrap();
-        let s = c.shift_right(0.5).unwrap();
-        assert_eq!(s.eval(0.9), 0.0);
-        assert!((s.eval(2.0) - 100.0).abs() < 1e-9);
-        assert!(c.shift_right(-1.0).is_err());
-        assert!(c.shift_right(0.0).unwrap().approx_eq(&c));
-    }
-
-    #[test]
     fn simplify_removes_collinear_and_tail_breakpoints() {
         let redundant = vec![(0.0, 0.0), (1.0, 10.0), (2.0, 20.0), (3.0, 25.0)];
         let simplified = simplify_points(redundant, 5.0);
@@ -1359,9 +1301,15 @@ mod tests {
         let s = a.add(&b);
         assert_eq!(s.points().len(), 1);
         assert!(s.min(&a).approx_eq(&a));
-        // simplify() is idempotent and value-preserving.
-        let st = Curve::staircase(512.0, 0.02, 4, 10_000_000.0).unwrap();
-        assert!(st.simplify().approx_eq(&st));
+    }
+
+    #[test]
+    fn simplify_in_place_matches_allocating_simplify() {
+        let redundant = vec![(0.0, 0.0), (1.0, 10.0), (2.0, 20.0), (3.0, 25.0)];
+        let allocating = simplify_points(redundant.clone(), 5.0);
+        let mut in_place = redundant;
+        simplify_points_in_place(&mut in_place, 5.0);
+        assert_eq!(allocating, in_place);
     }
 
     #[test]

@@ -85,10 +85,7 @@ impl Envelope {
     /// curve is intersected with the token bucket so the stored constraint
     /// never exceeds the affine summary.
     pub fn with_extra(tb: TokenBucket, extra: Curve) -> Self {
-        // Arena-backed min: this runs once per flow per hop on the
-        // staircase path, so the combine scratch is reused instead of
-        // allocated fresh.
-        let extra = crate::arena::min(&extra, &tb.curve());
+        let extra = extra.min(&tb.curve());
         Envelope {
             tb,
             extra: Some(extra),
@@ -186,9 +183,8 @@ impl Envelope {
             Some(curve) => {
                 let shifted = curve.shift_left(delay.as_secs_f64())?;
                 // Re-intersect with the inflated token bucket so float
-                // noise in the shift can never exceed the affine summary
-                // (arena-backed: this runs per flow per hop).
-                Some(crate::arena::min(&shifted, &tb.curve()))
+                // noise in the shift can never exceed the affine summary.
+                Some(shifted.min(&tb.curve()))
             }
             None => None,
         };
@@ -219,8 +215,8 @@ impl Envelope {
 /// `≤ p`) continue one fold instead of re-folding from the first member.
 ///
 /// The curve sum is seeded with the first member's effective curve and
-/// extended with the arena [`add`](crate::arena::add), so the aggregate of
-/// any prefix is bitwise the `aggregate_all` of that prefix.
+/// extended with [`Curve::add`], so the aggregate of any prefix is bitwise
+/// the `aggregate_all` of that prefix.
 #[derive(Debug, Clone)]
 pub struct EnvelopeFold {
     tb: TokenBucket,
@@ -257,7 +253,7 @@ impl EnvelopeFold {
         if self.fold_curves {
             self.curve = Some(match self.curve.take() {
                 None => flow.curve(),
-                Some(acc) => crate::arena::add(&acc, &flow.effective_curve()),
+                Some(acc) => acc.add(&flow.effective_curve()),
             });
         }
     }

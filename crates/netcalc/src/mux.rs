@@ -144,7 +144,7 @@ impl FcfsMux {
         let Some(curve) = aggregate.extra() else {
             return Ok(closed);
         };
-        let h = crate::arena::horizontal_deviation(curve, &self.service_curve().curve())?;
+        let h = crate::minplus::horizontal_deviation(curve, &self.service_curve().curve())?;
         Ok(closed.min(Duration::from_secs_f64_ceil(h)))
     }
 
@@ -168,7 +168,7 @@ impl FcfsMux {
             return Ok(closed);
         }
         let curves = Envelope::aggregate_all(self.flows.iter());
-        let v = crate::arena::vertical_deviation(
+        let v = crate::minplus::vertical_deviation(
             &curves.effective_curve(),
             &self.service_curve().curve(),
         )?;
@@ -415,7 +415,7 @@ impl StaticPriorityMux {
             return Ok(closed);
         };
         let service = self.residual_service(priority)?;
-        match crate::arena::horizontal_deviation(curve, &service.curve()) {
+        match crate::minplus::horizontal_deviation(curve, &service.curve()) {
             Ok(h) => Ok(closed.min(Duration::from_secs_f64_ceil(h))),
             Err(NcError::Unstable { .. }) => Ok(closed),
             Err(e) => Err(e),
@@ -471,7 +471,7 @@ impl StaticPriorityMux {
         // Same stronger-than-stability precondition as in `delay_bound`:
         // skip the refinement (not the bound) when the cumulative rate
         // exceeds the residual.
-        match crate::arena::vertical_deviation(&curves.effective_curve(), &service.curve()) {
+        match crate::minplus::vertical_deviation(&curves.effective_curve(), &service.curve()) {
             Ok(v) => Ok(closed.min(DataSize::from_bits(v.ceil() as u64))),
             Err(NcError::Unstable { .. }) => Ok(closed),
             Err(e) => Err(e),
@@ -832,7 +832,7 @@ impl WrrMux {
         let Some(curve) = aggregate.extra() else {
             return Ok(closed);
         };
-        let h = crate::arena::horizontal_deviation(curve, &service.curve())?;
+        let h = crate::minplus::horizontal_deviation(curve, &service.curve())?;
         Ok(closed.min(Duration::from_secs_f64_ceil(h)))
     }
 
@@ -864,7 +864,7 @@ impl WrrMux {
             return Ok(closed);
         }
         let curves = Envelope::aggregate_all(self.classes[class].iter().map(|f| &f.envelope));
-        let v = crate::arena::vertical_deviation(&curves.effective_curve(), &service.curve())?;
+        let v = crate::minplus::vertical_deviation(&curves.effective_curve(), &service.curve())?;
         Ok(closed.min(DataSize::from_bits(v.ceil() as u64)))
     }
 
