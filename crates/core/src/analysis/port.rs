@@ -9,9 +9,13 @@
 //! depend only on the ordered set of flows crossing the port and their
 //! arrival envelopes at that port, never on global analysis state.
 //!
-//! The port's arrival curves are aggregated exactly once
-//! ([`class_aggregates`]): the stage bound and the left-over curves both
-//! read those per-class aggregates instead of re-folding them.
+//! Each port builds one service table: its multiplexer ([`stage_mux`]) is
+//! built once, and the arrival curves are aggregated once per class
+//! ([`class_aggregates`]).  The stage bound reads both; each class's
+//! left-over base ([`netcalc::Mux::leftover_base`]) is read off the same
+//! multiplexer once, and a flow's cross traffic is its class aggregate
+//! minus its own envelope — so the closed-form left-over and the general
+//! left-over curve carve the same base, and no policy is matched here.
 //!
 //! [`analyze_port`] packages that port-local computation as a reusable unit
 //! so incremental callers (the `admission` engine's per-port curve cache)
@@ -20,11 +24,12 @@
 //! than by parallel maintenance of two implementations.
 
 use crate::analysis::end_to_end::AnalysisError;
-use crate::analysis::stage::{analyze_stage, class_aggregates, mux_for_policy, StageFlow};
+use crate::analysis::stage::{analyze_stage, class_aggregates, stage_mux, StageFlow};
 use crate::config::NetworkConfig;
 use ethernet::SchedulingPolicy;
 use netcalc::{
-    delay_bound, minplus, Curve, Envelope, EnvelopeModel, NcError, RateLatency, TokenBucket,
+    delay_bound, minplus, Curve, Envelope, EnvelopeModel, NcError, RateLatency, ServiceBound,
+    TokenBucket,
 };
 use units::Duration;
 use workload::MessageId;
@@ -89,16 +94,33 @@ pub fn analyze_port(
         source,
     };
     let aggregates = class_aggregates(flows, policy);
-    let stage_bounds =
-        analyze_stage(flows, &aggregates, policy, config.link_rate, ttechno).map_err(&stage)?;
+    let mux = stage_mux(flows, policy, config.link_rate, ttechno).map_err(&stage)?;
+    let stage_bounds = analyze_stage(flows, &aggregates, &mux).map_err(&stage)?;
+    let class_of = |f: &StageFlow| f.priority.min(aggregates.len() - 1);
+    // The service each class is blind-multiplexed on, read once per class.
+    let bases = (0..aggregates.len())
+        .map(|class| mux.leftover_base(class))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(&stage)?;
     // The general left-over curves of this port, one per flow (staircase
-    // model only; the token-bucket model keeps the closed-form path).
+    // model only; the token-bucket model keeps the closed-form path).  A
+    // flow's cross traffic is its class aggregate minus its own envelope
+    // ([`Curve::sub_envelope`]); where a class carries no extra constraint
+    // the aggregate curve is the summed token bucket, bitwise the sum of
+    // the members' affine curves.
     let port_curves = match model {
         EnvelopeModel::TokenBucket => None,
-        EnvelopeModel::Staircase => Some(
-            leftover_curves_for_port(flows, &aggregates, policy, config, ttechno)
-                .map_err(&stage)?,
-        ),
+        EnvelopeModel::Staircase => {
+            let base_curves: Vec<Curve> = bases.iter().map(RateLatency::curve).collect();
+            let curves = flows.iter().map(|f| {
+                let class = class_of(f);
+                let cross = aggregates[class]
+                    .effective_curve()
+                    .sub_envelope(&f.envelope.effective_curve());
+                minplus::leftover(&base_curves[class], &cross)
+            });
+            Some(curves.collect::<Result<Vec<_>, _>>().map_err(&stage)?)
+        }
     };
 
     let mut results = Vec::with_capacity(flows.len());
@@ -118,8 +140,17 @@ pub fn analyze_port(
                 capacity_bps: config.link_rate.bps(),
             },
         };
-        let mut leftover =
-            leftover_service(flows, i, policy, config, ttechno).ok_or_else(unstable_port)?;
+        // Blind multiplexing against the rest of the flow's class aggregate:
+        // every other flow (FCFS), the other flows of the same or higher
+        // priority (strict priority), the other flows of the class (WRR).
+        // Token-bucket sums are integers, so the difference is exact.
+        let class = class_of(flow);
+        let (class_tb, own) = (
+            aggregates[class].token_bucket(),
+            flow.envelope.token_bucket(),
+        );
+        let cross = TokenBucket::new(class_tb.burst() - own.burst(), class_tb.rate() - own.rate());
+        let mut leftover = bases[class].leftover(&cross).ok_or_else(unstable_port)?;
         // Store-and-forward packetizer: a frame cannot enter the next hop's
         // service before it is *fully* received, so the fluid left-over
         // curve of every non-final hop must give up one maximum frame of
@@ -175,145 +206,177 @@ pub fn analyze_port(
     })
 }
 
-/// The left-over rate-latency service curve of flow `index` at a port
-/// multiplexing `flows`, or `None` when the interfering traffic saturates
-/// the flow's residual service.
-///
-/// * **FCFS** — blind multiplexing against the aggregate of every other
-///   flow at the port.
-/// * **Strict priority** — blind multiplexing against the other flows of
-///   the same or higher priority, after reserving the transmission time of
-///   the largest lower-priority frame (non-preemptive blocking) as extra
-///   latency.
-/// * **WRR** — the class's quantum-share residual service
-///   ([`netcalc::WrrMux::residual_service`]), then blind multiplexing
-///   against the other flows of the *same class* (the class queue is one
-///   FIFO, so the arbitrary-multiplexing residual applies within it).
-pub fn leftover_service(
-    flows: &[StageFlow],
-    index: usize,
-    policy: &SchedulingPolicy,
-    config: &NetworkConfig,
-    ttechno: Duration,
-) -> Option<RateLatency> {
-    let classes = policy.queue_count();
-    let clamp = |p: usize| p.min(classes.saturating_sub(1));
-    let (base, cross) = match policy {
-        SchedulingPolicy::Fcfs => {
-            let cross = TokenBucket::aggregate_all(
-                flows
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != index)
-                    .map(|(_, f)| f.envelope.token_bucket()),
-            );
-            (RateLatency::new(config.link_rate, ttechno), cross)
-        }
-        SchedulingPolicy::StrictPriority { .. } => {
-            let own = clamp(flows[index].priority);
-            let cross = TokenBucket::aggregate_all(
-                flows
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, f)| j != index && clamp(f.priority) <= own)
-                    .map(|(_, f)| f.envelope.token_bucket()),
-            );
-            let blocking = flows
-                .iter()
-                .filter(|f| clamp(f.priority) > own)
-                .map(|f| f.envelope.burst())
-                .fold(units::DataSize::ZERO, units::DataSize::max);
-            let base = RateLatency::new(
-                config.link_rate,
-                ttechno + config.link_rate.transmission_time(blocking),
-            );
-            (base, cross)
-        }
-        SchedulingPolicy::Wrr { .. } => {
-            // The quantum-share residual depends only on the per-class
-            // frame sizes and occupancy, so the mux is fed the flows'
-            // token-bucket summaries — not their full piecewise-linear
-            // envelopes, whose clones would dominate this per-flow path.
-            let mut mux = mux_for_policy(policy, config.link_rate, ttechno);
-            for f in flows {
-                mux.add_flow(f.priority, f.envelope.token_bucket(), f.frame)
-                    .ok()?;
-            }
-            let own = clamp(flows[index].priority);
-            let base = mux.residual_service(own).ok()?;
-            let cross = TokenBucket::aggregate_all(
-                flows
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, f)| j != index && clamp(f.priority) == own)
-                    .map(|(_, f)| f.envelope.token_bucket()),
-            );
-            (base, cross)
-        }
-    };
-    base.leftover(&cross)
-}
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use ethernet::{WrrUnit, WrrWeights};
+    use netcalc::{WrrAccounting, WrrMux};
+    use proptest::prelude::*;
+    use units::{DataRate, DataSize};
 
-/// The general left-over service **curves** of every flow at a port
-/// ([`netcalc::minplus::leftover`]): the same blind-multiplexing construction as
-/// [`leftover_service`], but against the cross traffic's full
-/// piecewise-linear envelopes (e.g. staircases) instead of their
-/// token-bucket summaries — the cross traffic's flat steps let the residual
-/// service recover faster, so the served flow's deviation can only shrink.
-///
-/// Batched per port: each flow's cross traffic is its class aggregate
-/// (`aggregates`, the port's [`class_aggregates`]) minus its own envelope
-/// ([`Curve::sub_envelope`]), turning the per-port cost from quadratic to
-/// linear in the flow count.  Where a class carries no extra constraint
-/// its aggregate curve is the summed token bucket, bitwise the sum of the
-/// members' affine curves.
-pub fn leftover_curves_for_port(
-    flows: &[StageFlow],
-    aggregates: &[Envelope],
-    policy: &SchedulingPolicy,
-    config: &NetworkConfig,
-    ttechno: Duration,
-) -> Result<Vec<Curve>, NcError> {
-    use netcalc::ServiceBound;
-    let levels = policy.queue_count();
-    let clamp = |p: usize| p.min(levels - 1);
-    // The residual service each class is blind-multiplexed on.
-    let bases: Vec<Curve> = match policy {
-        SchedulingPolicy::Fcfs => vec![RateLatency::new(config.link_rate, ttechno).curve()],
-        SchedulingPolicy::StrictPriority { .. } => {
-            // Largest lower-priority frame that can block level p.
-            (0..levels)
-                .map(|p| {
-                    let blocking = flows
+    /// The left-over rate-latency service curve of flow `index` as the
+    /// per-flow derivation computes it, with no port table: one cross
+    /// token-bucket fold per flow and, under WRR, one multiplexer per flow.
+    /// `None` when the interfering traffic saturates the flow's residual
+    /// service.  The reference [`analyze_port`]'s per-class table must
+    /// reproduce bit for bit.
+    fn leftover_service(
+        flows: &[StageFlow],
+        index: usize,
+        policy: &SchedulingPolicy,
+        config: &NetworkConfig,
+        ttechno: Duration,
+    ) -> Option<RateLatency> {
+        let classes = policy.queue_count();
+        let clamp = |p: usize| p.min(classes.saturating_sub(1));
+        let (base, cross) = match policy {
+            SchedulingPolicy::Fcfs => {
+                let cross = TokenBucket::aggregate_all(
+                    flows
                         .iter()
-                        .filter(|f| clamp(f.priority) > p)
-                        .map(|f| f.envelope.burst())
-                        .fold(units::DataSize::ZERO, units::DataSize::max);
-                    let latency = ttechno + config.link_rate.transmission_time(blocking);
-                    RateLatency::new(config.link_rate, latency).curve()
-                })
-                .collect()
-        }
-        SchedulingPolicy::Wrr { .. } => {
-            // The quantum-share residual reads only frame sizes, quanta and
-            // class occupancy, so the mux gets token-bucket summaries.
-            let mut mux = mux_for_policy(policy, config.link_rate, ttechno);
-            for f in flows {
-                mux.add_flow(f.priority, f.envelope.token_bucket(), f.frame)?;
+                        .enumerate()
+                        .filter(|&(j, _)| j != index)
+                        .map(|(_, f)| f.envelope.token_bucket()),
+                );
+                (RateLatency::new(config.link_rate, ttechno), cross)
             }
-            (0..levels)
-                .map(|p| mux.residual_service(p).map(|s| s.curve()))
-                .collect::<Result<_, _>>()?
+            SchedulingPolicy::StrictPriority { .. } => {
+                let own = clamp(flows[index].priority);
+                let cross = TokenBucket::aggregate_all(
+                    flows
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, f)| j != index && clamp(f.priority) <= own)
+                        .map(|(_, f)| f.envelope.token_bucket()),
+                );
+                let blocking = flows
+                    .iter()
+                    .filter(|f| clamp(f.priority) > own)
+                    .map(|f| f.envelope.burst())
+                    .fold(units::DataSize::ZERO, units::DataSize::max);
+                let base = RateLatency::new(
+                    config.link_rate,
+                    ttechno + config.link_rate.transmission_time(blocking),
+                );
+                (base, cross)
+            }
+            SchedulingPolicy::Wrr { weights } => {
+                let accounting = match weights.unit {
+                    WrrUnit::Frames => WrrAccounting::Frames,
+                    WrrUnit::Bytes => WrrAccounting::Bytes,
+                };
+                let mut mux = WrrMux::new(
+                    config.link_rate,
+                    ttechno,
+                    accounting,
+                    &weights.active_quanta(),
+                );
+                for f in flows {
+                    mux.add_flow(clamp(f.priority), f.envelope.token_bucket(), f.frame)
+                        .ok()?;
+                }
+                let own = clamp(flows[index].priority);
+                let base = mux.residual_service(own).ok()?;
+                let cross = TokenBucket::aggregate_all(
+                    flows
+                        .iter()
+                        .enumerate()
+                        .filter(|&(j, f)| j != index && clamp(f.priority) == own)
+                        .map(|(_, f)| f.envelope.token_bucket()),
+                );
+                (base, cross)
+            }
+        };
+        base.leftover(&cross)
+    }
+
+    proptest! {
+        /// [`analyze_port`]'s per-flow `leftover` is bitwise the per-flow
+        /// reference (plus the packetizer correction on non-final hops),
+        /// over FCFS, strict priority with 1–5 levels and WRR in frames and
+        /// bytes, priorities beyond the class count, envelopes with and
+        /// without extra constraints, and both envelope models.  A
+        /// saturated reference is an `Unstable` port; an `Unstable` port is
+        /// a saturated reference or an unstable multiplexer.
+        #[test]
+        fn port_table_leftover_matches_the_per_flow_reference(
+            specs in proptest::collection::vec((0u8..32, 64u64..1_500, 1u64..50), 1..10),
+            last in 0u16..1_024,
+            policy_kind in 0u8..4,
+            classes in 1usize..6,
+            fast_line in 0u8..2,
+            staircase in 0u8..2,
+        ) {
+            let peak = DataRate::from_mbps(if fast_line == 1 { 100 } else { 10 });
+            let config = NetworkConfig::paper_default().with_link_rate(peak);
+            let ttechno = config.ttechno;
+            let flows: Vec<StageFlow> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, bytes, period_ms))| {
+                    let (length, period) =
+                        (DataSize::from_bytes(bytes), Duration::from_millis(period_ms));
+                    let envelope = match kind % 3 {
+                        0 => Envelope::staircase(length, period, peak),
+                        1 => Envelope::staircase(length, period, peak)
+                            .delayed(Duration::from_micros(bytes % 700))
+                            .unwrap(),
+                        _ => Envelope::from(TokenBucket::for_message(length, period)),
+                    };
+                    StageFlow {
+                        message: MessageId(i),
+                        envelope,
+                        priority: kind as usize / 4,
+                        frame: length,
+                    }
+                })
+                .collect();
+            let last_hop: Vec<bool> = (0..flows.len()).map(|i| last & (1 << i) != 0).collect();
+            let quanta = [4, 2, 1, 1, 3];
+            let policy = match policy_kind {
+                0 => SchedulingPolicy::Fcfs,
+                1 => SchedulingPolicy::StrictPriority { levels: classes },
+                2 => SchedulingPolicy::Wrr {
+                    weights: WrrWeights::new(&quanta[..classes], WrrUnit::Frames),
+                },
+                _ => {
+                    let bytes: Vec<u32> = quanta[..classes].iter().map(|q| q * 1_500).collect();
+                    SchedulingPolicy::Wrr {
+                        weights: WrrWeights::new(&bytes, WrrUnit::Bytes),
+                    }
+                }
+            };
+            let model = if staircase == 1 {
+                EnvelopeModel::Staircase
+            } else {
+                EnvelopeModel::TokenBucket
+            };
+            let reference: Vec<Option<RateLatency>> = (0..flows.len())
+                .map(|i| leftover_service(&flows, i, &policy, &config, ttechno))
+                .collect();
+            let saturated = reference.iter().any(Option::is_none);
+            match analyze_port(&flows, &last_hop, &policy, &config, ttechno, model, "port") {
+                Ok(port) => {
+                    prop_assert!(!saturated);
+                    for (i, flow) in port.flows.iter().enumerate() {
+                        let mut expected = reference[i].unwrap();
+                        if !last_hop[i] {
+                            expected = RateLatency::new(
+                                expected.rate(),
+                                expected.latency()
+                                    + expected.rate().transmission_time(flows[i].frame),
+                            );
+                        }
+                        prop_assert_eq!(flow.leftover, expected, "flow {} under {:?}", i, policy);
+                    }
+                }
+                Err(AnalysisError::Stage { source: NcError::Unstable { .. }, .. }) => {
+                    let mux_unstable =
+                        stage_mux(&flows, &policy, config.link_rate, ttechno).is_err();
+                    prop_assert!(saturated || mux_unstable);
+                }
+                Err(e) => prop_assert!(!saturated, "unexpected error {e} under {policy:?}"),
+            }
         }
-    };
-    flows
-        .iter()
-        .map(|f| {
-            let own = clamp(f.priority);
-            let cross = aggregates[own]
-                .effective_curve()
-                .sub_envelope(&f.envelope.effective_curve());
-            minplus::leftover(&bases[own], &cross)
-        })
-        .collect()
+    }
 }

@@ -25,11 +25,21 @@ pub struct StageFlow {
     pub frame: DataSize,
 }
 
-/// Builds the empty policy-generic multiplexer for a stage: the single
-/// place that maps the unified [`SchedulingPolicy`] onto the Network-
-/// Calculus multiplexers (FCFS, strict priority, WRR).
-pub fn mux_for_policy(policy: &SchedulingPolicy, capacity: DataRate, ttechno: Duration) -> Mux {
-    match policy {
+/// Builds a stage's policy-generic multiplexer: the single place that maps
+/// the unified [`SchedulingPolicy`] onto the Network-Calculus multiplexers
+/// (FCFS, strict priority, WRR).
+///
+/// The multiplexer is fed each flow's token-bucket summary and physical
+/// frame size (everything its closed forms and residual services read) and
+/// checked for long-term stability, so every bound a caller derives from it
+/// — [`Mux::delay_bound`], [`Mux::leftover_base`] — sees a stable port.
+pub fn stage_mux(
+    flows: &[StageFlow],
+    policy: &SchedulingPolicy,
+    capacity: DataRate,
+    ttechno: Duration,
+) -> Result<Mux, NcError> {
+    let mut mux = match policy {
         SchedulingPolicy::Fcfs => Mux::fcfs(capacity, ttechno),
         SchedulingPolicy::StrictPriority { levels } => {
             Mux::static_priority((*levels).max(1), capacity, ttechno)
@@ -41,7 +51,12 @@ pub fn mux_for_policy(policy: &SchedulingPolicy, capacity: DataRate, ttechno: Du
             };
             Mux::wrr(capacity, ttechno, accounting, &weights.active_quanta())
         }
+    };
+    for flow in flows {
+        mux.add_flow(flow.priority, flow.envelope.token_bucket(), flow.frame)?;
     }
+    mux.check_stability()?;
+    Ok(mux)
 }
 
 /// The per-flow outcome of a stage analysis.
@@ -95,30 +110,19 @@ pub fn class_aggregates(flows: &[StageFlow], policy: &SchedulingPolicy) -> Vec<E
     }
 }
 
-/// Analyses one stage under the given scheduling policy.
+/// Analyses one stage: the per-flow delay bound and output envelope.
 ///
 /// * `aggregates` — the stage's [`class_aggregates`];
-/// * `capacity` — the outgoing link rate `C`;
-/// * `ttechno` — the relaying latency of the element (0 for an end system,
-///   the switch's `t_techno` for a switch output port).
+/// * `mux` — the stage's [`stage_mux`] over the same flows.
 ///
-/// The policy selects the residual-service multiplexer through the
-/// policy-generic [`Mux`] dispatch, fed the flows' token-bucket summaries;
-/// the per-class delay bounds read the already-folded class aggregates and
+/// The per-class delay bounds read the already-folded class aggregates and
 /// are shared by every flow of the class.
 pub fn analyze_stage(
     flows: &[StageFlow],
     aggregates: &[Envelope],
-    policy: &SchedulingPolicy,
-    capacity: DataRate,
-    ttechno: Duration,
+    mux: &Mux,
 ) -> Result<Vec<(MessageId, StageBound)>, NcError> {
-    let mut mux = mux_for_policy(policy, capacity, ttechno);
     let classes = mux.class_count();
-    for flow in flows {
-        mux.add_flow(flow.priority, flow.envelope.token_bucket(), flow.frame)?;
-    }
-    mux.check_stability()?;
     let mut class_delay: Vec<Option<Duration>> = vec![None; classes];
     flows
         .iter()
@@ -166,9 +170,7 @@ mod tests {
         analyze_stage(
             flows,
             &class_aggregates(flows, policy),
-            policy,
-            capacity,
-            ttechno,
+            &stage_mux(flows, policy, capacity, ttechno)?,
         )
     }
 

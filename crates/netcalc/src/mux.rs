@@ -991,14 +991,26 @@ impl Mux {
         }
     }
 
-    /// The residual rate-latency service seen by `class` (clamped): the
-    /// full port service under FCFS, the priority residual under strict
-    /// priority, the quantum-share residual under WRR.
-    pub fn residual_service(&self, class: usize) -> Result<RateLatency, NcError> {
+    /// The service `class` (clamped) is blind-multiplexed on when a flow's
+    /// left-over service is carved out of it against the rest of its class
+    /// aggregate (every flow under FCFS, levels `q ≤ p` under strict
+    /// priority, class `p` under WRR):
+    ///
+    /// * **FCFS** — the port service `β_{C, t_techno}`;
+    /// * **strict priority** — the port service delayed by the largest
+    ///   lower-priority frame, `β_{C, t_techno + max_{q>p} b_j / C}` (the
+    ///   non-preemptive blocking; the higher levels are cross traffic of
+    ///   the left-over, not a rate reduction here);
+    /// * **WRR** — the class's quantum-share residual
+    ///   ([`WrrMux::residual_service`]).
+    pub fn leftover_base(&self, class: usize) -> Result<RateLatency, NcError> {
         let class = self.clamp(class);
         match self {
             Mux::Fcfs(m) => Ok(m.service_curve()),
-            Mux::StaticPriority(m) => m.residual_service(class),
+            Mux::StaticPriority(m) => Ok(RateLatency::new(
+                m.capacity,
+                m.ttechno + m.capacity.transmission_time(m.lower_blocking_burst(class)),
+            )),
             Mux::Wrr(m) => m.residual_service(class),
         }
     }
@@ -1426,10 +1438,12 @@ mod tests {
                 direct_fcfs.delay_bound().unwrap()
             );
         }
-        assert_eq!(
-            via_fcfs.residual_service(0).unwrap(),
-            direct_fcfs.service_curve()
-        );
+        for p in 0..3 {
+            assert_eq!(
+                via_fcfs.leftover_base(p).unwrap(),
+                direct_fcfs.service_curve()
+            );
+        }
 
         let mut direct_sp = StaticPriorityMux::new(3, c10(), t16());
         let mut via_sp = Mux::static_priority(3, c10(), t16());
@@ -1444,11 +1458,25 @@ mod tests {
                 via_sp.delay_bound(p, &aggregate(&envelopes[..=p])).unwrap(),
                 direct_sp.delay_bound(p).unwrap()
             );
+            // The left-over base keeps the full link rate and pays only
+            // the non-preemptive blocking of the largest lower frame.
+            let blocking = flows[p + 1..]
+                .iter()
+                .map(|f| f.burst())
+                .fold(DataSize::ZERO, DataSize::max);
             assert_eq!(
-                via_sp.residual_service(p).unwrap(),
-                direct_sp.residual_service(p).unwrap()
+                via_sp.leftover_base(p).unwrap(),
+                RateLatency::new(c10(), t16() + c10().transmission_time(blocking))
             );
         }
+        assert_eq!(
+            via_sp.leftover_base(9).unwrap(),
+            via_sp.leftover_base(2).unwrap()
+        );
+        assert_eq!(
+            via_sp.leftover_base(2).unwrap(),
+            direct_fcfs.service_curve()
+        );
         // Out-of-range classes are clamped, exactly like the classifier.
         assert_eq!(
             via_sp.delay_bound(9, &aggregate(&envelopes)).unwrap(),
@@ -1469,6 +1497,10 @@ mod tests {
                     .delay_bound(p, &aggregate(&envelopes[p..=p]))
                     .unwrap(),
                 direct_wrr.delay_bound(p).unwrap()
+            );
+            assert_eq!(
+                via_wrr.leftover_base(p).unwrap(),
+                direct_wrr.residual_service(p).unwrap()
             );
         }
     }

@@ -15,7 +15,12 @@
 //!    the per-drawn-arm fingerprint the curve-refactor test used to carry:
 //!    the policy dimension now draws WRR for some scenarios, so the pin
 //!    forces each arm explicitly and covers twice as many reports).
-//! 3. The WRR arm must be *sound*: every seed-42 scenario forced onto its
+//! 3. The two bound families the pin above leaves open — the WRR arm's
+//!    token-bucket bounds, and every arm's staircase bounds — are pinned
+//!    per hop (stage and flow delay) and per message over the same 200
+//!    scenarios, so the per-port left-over service of every policy is
+//!    covered bit for bit.
+//! 4. The WRR arm must be *sound*: every seed-42 scenario forced onto its
 //!    seeded WRR weight set validates against the WRR-serving simulator
 //!    with zero bound violations.
 
@@ -32,6 +37,14 @@ const PRE_REFACTOR_PRIORITY_JSON: u64 = 0xfdaf_c051_2e5d_03b0;
 /// per-hop sum, convolved, total — plus infeasibility messages) over the
 /// first 200 seed-42 scenarios, captured pre-refactor.
 const PRE_REFACTOR_BOTH_ARM_BOUNDS: u64 = 0x03b8_852e_caa1_49ac;
+
+/// FNV-1a fingerprint of the WRR arm's token-bucket bounds (per hop: stage
+/// and flow delay; per message: stage sum, per-hop sum, convolved, total —
+/// plus infeasibility messages) over the first 200 seed-42 scenarios.
+const WRR_TOKEN_BUCKET_HOP_BOUNDS: u64 = 0x1756_f7d7_26b8_be88;
+
+/// The same fingerprint over all three arms under the staircase model.
+const ALL_ARM_STAIRCASE_HOP_BOUNDS: u64 = 0x9ee5_584a_fc0a_c062;
 
 /// FNV-1a over a stream of u64 values.
 struct Fnv(u64);
@@ -120,6 +133,66 @@ fn both_paper_arms_token_bucket_bounds_match_the_pre_refactor_closed_forms() {
         "token-bucket bounds drifted from the pre-refactor closed forms \
          (got {:#x})",
         hash.0
+    );
+}
+
+/// Fingerprints every hop's stage and flow delay and every message's four
+/// end-to-end bounds over the first 200 seed-42 scenarios, each analysed
+/// under the arms `arms(id)` returns.
+fn hop_bounds_hash(
+    arms: impl Fn(&ScenarioSpace, usize) -> Vec<Approach>,
+    model: EnvelopeModel,
+) -> u64 {
+    let space = ScenarioSpace::new(42);
+    let mut hash = Fnv::new();
+    for id in 0..200 {
+        let scenario = space.scenario(id);
+        let workload = scenario.build_workload();
+        let fabric = scenario.build_fabric(&workload);
+        for approach in arms(&space, id) {
+            match analyze_multi_hop_with(
+                &workload,
+                &scenario.network_config(),
+                approach,
+                &fabric,
+                model,
+            ) {
+                Ok(report) => {
+                    for m in &report.messages {
+                        for hop in &m.hops {
+                            hash.push(hop.stage_delay.as_nanos());
+                            hash.push(hop.flow_delay.as_nanos());
+                        }
+                        hash.push(m.stage_sum_bound.as_nanos());
+                        hash.push(m.hop_sum_bound.as_nanos());
+                        hash.push(m.convolved_bound.as_nanos());
+                        hash.push(m.total_bound.as_nanos());
+                    }
+                }
+                Err(e) => hash.push_str(&e.to_string()),
+            }
+        }
+    }
+    hash.0
+}
+
+#[test]
+fn wrr_token_bucket_and_all_arm_staircase_hop_bounds_are_pinned() {
+    let wrr = hop_bounds_hash(
+        |space, id| vec![space.wrr_arm(id)],
+        EnvelopeModel::TokenBucket,
+    );
+    assert_eq!(
+        wrr, WRR_TOKEN_BUCKET_HOP_BOUNDS,
+        "WRR token-bucket hop bounds drifted (got {wrr:#x})"
+    );
+    let staircase = hop_bounds_hash(
+        |space, id| vec![Approach::Fcfs, Approach::StrictPriority, space.wrr_arm(id)],
+        EnvelopeModel::Staircase,
+    );
+    assert_eq!(
+        staircase, ALL_ARM_STAIRCASE_HOP_BOUNDS,
+        "staircase hop bounds drifted (got {staircase:#x})"
     );
 }
 
